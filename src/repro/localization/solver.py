@@ -14,13 +14,24 @@ rotation-invariant, so position solves without knowing orientation.
 
 Following the paper we solve with "a time-bounded differential
 evolution" (bounded by the venue extents), then polish with robust least
-squares.  Orientation is recovered afterwards by Kabsch alignment of the
+squares.  The differential evolution is owned here rather than borrowed
+from scipy: ``best1bin`` with the mutation factor dithered in [0.5, 1)
+once per generation, crossover 0.7 with one forced gene, a
+Latin-hypercube start of ``de_population x 3`` individuals,
+out-of-bounds genes re-drawn uniformly inside the box, deferred
+(per-generation) selection and scipy's ``std(E) <= tol * |mean(E)|``
+stop — scipy's algorithm and budget, but each generation scores the
+whole population in one (population x pairs) array op instead of one
+Python call per individual.  The DE, the polish and the final RMS all
+go through one batched residual function, :func:`angular_residuals`.
+Orientation is recovered afterwards by Kabsch alignment of the
 camera-frame ray directions with the world-frame directions to the
 matched points — yielding the full 6-DoF pose.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +41,11 @@ from repro.geometry.camera import CameraIntrinsics
 from repro.geometry.pose import Pose
 
 __all__ = ["AngularLocalizer", "LocalizationProblem", "LocalizationSolution"]
+
+# Differential-evolution settings: scipy's defaults for best1bin.
+_DE_DITHER = (0.5, 1.0)
+_DE_CROSSOVER = 0.7
+_DE_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -70,6 +86,86 @@ def _ray_directions(pixels: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndar
     return rays / np.linalg.norm(rays, axis=1, keepdims=True)
 
 
+def angular_residuals(
+    positions: np.ndarray,
+    points_i: np.ndarray,
+    points_j: np.ndarray,
+    perceived: np.ndarray,
+) -> np.ndarray:
+    """Angle residuals, shape (S, pairs), at each of ``S`` candidate positions.
+
+    Row *s*, column *k* is the angle that ``points_i[k]`` and
+    ``points_j[k]`` subtend at ``positions[s]`` minus ``perceived[k]``.
+    """
+    # Coordinate-major (3, S, pairs) offsets: with xyz as the innermost
+    # axis every elementwise op runs a length-3 inner loop, ~2x slower.
+    origin = np.ascontiguousarray(positions.T)[:, :, None]
+    to_i = np.ascontiguousarray(points_i.T)[:, None, :] - origin
+    to_j = np.ascontiguousarray(points_j.T)[:, None, :] - origin
+    dot = np.einsum("ksp,ksp->sp", to_i, to_j)
+    norm_i = np.sqrt(np.einsum("ksp,ksp->sp", to_i, to_i))
+    norm_j = np.sqrt(np.einsum("ksp,ksp->sp", to_j, to_j))
+    safe = np.maximum(norm_i * norm_j, 1e-9)
+    return np.arccos(np.clip(dot / safe, -1.0, 1.0)) - perceived
+
+
+def soft_l1_cost(residuals: np.ndarray) -> np.ndarray:
+    """Soft-L1 sum of each row; keeps stray wrong matches from dominating."""
+    return np.sum(2.0 * (np.sqrt(1.0 + residuals**2) - 1.0), axis=-1)
+
+
+def _differential_evolution(
+    cost: Callable[[np.ndarray], np.ndarray],
+    low: np.ndarray,
+    high: np.ndarray,
+    popsize: int,
+    max_generations: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, bool]:
+    """Minimise ``cost`` over the box; returns (best point, converged).
+
+    ``cost`` maps an (S, dim) array of points to S energies.  Individuals
+    live in the unit cube and are scaled to the box only to be scored.
+    """
+    dim = low.size
+    count = popsize * dim
+    span = high - low
+    rows = np.arange(count)
+    # Latin hypercube: one sample per stratum, strata shuffled per gene.
+    strata = (rng.uniform(size=(count, dim)) + rows[:, None]) / count
+    members = np.take_along_axis(
+        strata, np.argsort(rng.uniform(size=(count, dim)), axis=0), axis=0
+    )
+    energies = cost(low + members * span)
+    converged = False
+    for _ in range(max_generations):
+        best = members[np.argmin(energies)]
+        scale = rng.uniform(*_DE_DITHER)
+        # Two distinct donors per individual, neither being the individual.
+        donor_a = rng.integers(count - 1, size=count)
+        donor_a += donor_a >= rows
+        donor_b = rng.integers(count - 2, size=count)
+        donor_b += donor_b >= np.minimum(rows, donor_a)
+        donor_b += donor_b >= np.maximum(rows, donor_a)
+        mutant = best + scale * (members[donor_a] - members[donor_b])
+        crossover = rng.uniform(size=(count, dim)) < _DE_CROSSOVER
+        crossover[rows, rng.integers(dim, size=count)] = True
+        trial = np.where(crossover, mutant, members)
+        outside = (trial < 0.0) | (trial > 1.0)
+        trial[outside] = rng.uniform(size=np.count_nonzero(outside))
+        trial_energies = cost(low + trial * span)
+        accepted = trial_energies <= energies
+        members[accepted] = trial[accepted]
+        energies[accepted] = trial_energies[accepted]
+        if np.std(energies) <= _DE_TOLERANCE * abs(np.mean(energies)):
+            converged = True
+            break
+    # Clipped: low + 1.0 * span can overshoot high by an ulp, and
+    # least_squares rejects a start outside its bounds.
+    best = np.clip(low + members[np.argmin(energies)] * span, low, high)
+    return best, converged
+
+
 class AngularLocalizer:
     """Solves :class:`LocalizationProblem` instances."""
 
@@ -89,10 +185,7 @@ class AngularLocalizer:
 
     def _select_pairs(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Keypoint index pairs (i < j), subsampled to the pair budget."""
-        pairs = np.array(
-            [(i, j) for i in range(count) for j in range(i + 1, count)],
-            dtype=np.int64,
-        )
+        pairs = np.column_stack(np.triu_indices(count, k=1)).astype(np.int64)
         if pairs.shape[0] > self.max_pairs:
             chosen = rng.choice(pairs.shape[0], size=self.max_pairs, replace=False)
             pairs = pairs[np.sort(chosen)]
@@ -116,40 +209,28 @@ class AngularLocalizer:
         perceived = np.arccos(cos_perceived)
         points_i = problem.world_points[pairs[:, 0]]
         points_j = problem.world_points[pairs[:, 1]]
+        low, high = problem.bounds_low, problem.bounds_high
 
-        def residuals(position: np.ndarray) -> np.ndarray:
-            to_i = points_i - position
-            to_j = points_j - position
-            norm_i = np.linalg.norm(to_i, axis=1)
-            norm_j = np.linalg.norm(to_j, axis=1)
-            safe = np.maximum(norm_i * norm_j, 1e-9)
-            cos_geometric = np.clip((to_i * to_j).sum(1) / safe, -1.0, 1.0)
-            return np.arccos(cos_geometric) - perceived
+        def residuals(positions: np.ndarray) -> np.ndarray:
+            return angular_residuals(positions, points_i, points_j, perceived)
 
-        def objective(position: np.ndarray) -> float:
-            r = residuals(position)
-            # Soft-L1 keeps stray wrong matches from dominating the basin.
-            return float(np.sum(2.0 * (np.sqrt(1.0 + r**2) - 1.0)))
-
-        de_bounds = list(zip(problem.bounds_low, problem.bounds_high))
-        de_result = optimize.differential_evolution(
-            objective,
-            bounds=de_bounds,
-            maxiter=self.de_max_iterations,
-            popsize=self.de_population,
-            tol=1e-6,
-            seed=self.seed,
-            polish=False,
+        start, de_converged = _differential_evolution(
+            lambda positions: soft_l1_cost(residuals(positions)),
+            low,
+            high,
+            self.de_population,
+            self.de_max_iterations,
+            rng,
         )
         polish = optimize.least_squares(
-            residuals,
-            de_result.x,
+            lambda position: residuals(position[None])[0],
+            start,
             loss="soft_l1",
-            bounds=(problem.bounds_low, problem.bounds_high),
+            bounds=(low, high),
             max_nfev=200,
         )
         position = polish.x
-        final = residuals(position)
+        final = residuals(position[None])[0]
         rms = float(np.sqrt(np.mean(final**2)))
 
         pose = self._recover_orientation(problem, rays, position)
@@ -157,7 +238,7 @@ class AngularLocalizer:
             pose=pose,
             residual=rms,
             num_pairs=int(pairs.shape[0]),
-            converged=bool(de_result.success or polish.success),
+            converged=bool(de_converged or polish.success),
         )
 
     @staticmethod
