@@ -88,6 +88,12 @@ def sift_trajectory() -> dict[str, dict]:
 
 
 @pytest.fixture(scope="session")
+def lsh_trajectory() -> dict[str, dict]:
+    """Mutable dict the LSH lookup benchmarks fill with rows."""
+    return _TRAJECTORIES.setdefault("BENCH_lsh.json", {})
+
+
+@pytest.fixture(scope="session")
 def loadgen_trajectory() -> dict[str, dict]:
     """Mutable dict the fleet load-test benchmarks fill with rows."""
     return _TRAJECTORIES.setdefault("BENCH_loadgen.json", {})

@@ -10,11 +10,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.hashing.murmur3 import murmur3_32_vectors
+from repro.hashing.murmur3 import murmur3_32_vectors_multiseed
 
-__all__ = ["QuantizedBuckets"]
+__all__ = ["QuantizedBuckets", "bucket_keys"]
 
 _BUCKET_BIAS = np.int64(1 << 20)
+
+
+def bucket_keys(vectors: np.ndarray, table: int, seed_base: int = 0) -> np.ndarray:
+    """64-bit bucket keys of ``(n, M)`` uint32 vectors for one LSH table.
+
+    One Murmur-3 pair (seeds ``seed_base + 2 * table`` and ``+ 1``) gives
+    the low and high words.  Used as dictionary keys in
+    :class:`repro.lsh.LshIndex`, both when inserting rows and when
+    probing for them.  Key collisions are possible but harmless: index
+    candidates are always re-verified with exact Euclidean distances.
+    """
+    seeds = np.array([seed_base + 2 * table, seed_base + 2 * table + 1])
+    low, high = murmur3_32_vectors_multiseed(vectors, seeds).astype(np.uint64)
+    return (high << np.uint64(32)) | low
 
 
 class QuantizedBuckets:
@@ -52,18 +66,8 @@ class QuantizedBuckets:
         return (self.buckets[:, table, :] + _BUCKET_BIAS).astype(np.uint32)
 
     def table_keys(self, table: int, seed_base: int = 0) -> np.ndarray:
-        """64-bit bucket keys for one table (two Murmur-3 passes).
-
-        Used as dictionary keys in :class:`repro.lsh.LshIndex`.  Key
-        collisions are possible but harmless: index candidates are always
-        re-verified with exact Euclidean distances.
-        """
-        vectors = self.table_vectors(table)
-        low = murmur3_32_vectors(vectors, seed=seed_base + 2 * table).astype(np.uint64)
-        high = murmur3_32_vectors(vectors, seed=seed_base + 2 * table + 1).astype(
-            np.uint64
-        )
-        return (high << np.uint64(32)) | low
+        """64-bit bucket keys for one table (see :func:`bucket_keys`)."""
+        return bucket_keys(self.table_vectors(table), table, seed_base)
 
     def perturbed(self, table: int, projection: int, delta: int) -> np.ndarray:
         """One-cell perturbation of a single coordinate (multiprobe)."""

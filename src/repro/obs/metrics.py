@@ -31,6 +31,7 @@ import json
 import random
 import threading
 import time
+import zlib
 from bisect import bisect_left
 from contextlib import contextmanager
 from typing import Any, Iterator
@@ -189,8 +190,9 @@ class Histogram:
         self._max = float("-inf")
         self._reservoir: list[float] = []
         # Deterministic per-instrument stream: same observations in the
-        # same order always summarize identically (tests rely on this).
-        self._rng = random.Random(hash(name) & 0xFFFFFFFF)
+        # same order always summarize identically, in any process (a
+        # CRC, unlike ``hash(str)``, is not salted per process).
+        self._rng = random.Random(zlib.crc32(name.encode()))
 
     def observe(self, value: float) -> None:
         value = float(value)

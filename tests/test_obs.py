@@ -11,6 +11,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,7 +106,36 @@ class TestCounterGauge:
         assert len(registry) == 0
 
 
+_HISTOGRAM_QUANTILES_SCRIPT = """
+import json
+from repro.obs.metrics import Histogram
+histogram = Histogram("span_query_seconds")
+for i in range(5000):
+    histogram.observe(((i * 7919) % 5000) / 1000.0)
+print(json.dumps(list(histogram.quantiles((0.5, 0.9, 0.99)).values())))
+"""
+
+
 class TestHistogram:
+    def test_reservoir_quantiles_identical_across_hash_seeds(self):
+        # 5,000 observations overflow the 1,024-sample reservoir, so the
+        # quantiles depend on its replacement stream; that stream must
+        # not depend on the per-process str hash salt.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+            completed = subprocess.run(
+                [sys.executable, "-c", _HISTOGRAM_QUANTILES_SCRIPT],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=60,
+            )
+            outputs.append(json.loads(completed.stdout))
+        assert outputs[0] == outputs[1]
+
     def test_quantiles_on_known_distribution(self):
         histogram = Histogram("h")
         for value in range(1, 101):  # 1..100
