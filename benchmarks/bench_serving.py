@@ -6,8 +6,8 @@ Three measurements land in BENCH_serving.json:
   one-shard inline :class:`ServingFrontend` versus calling the engine
   directly.  The async router, admission accounting, and per-shard
   instruments must stay a small fraction of real oracle work.
-* ``shard_scaling`` — measured per-query service times (from the
-  frontend's ``serving_request_seconds`` histogram) replayed through the
+* ``shard_scaling`` — measured per-query service times (each query's
+  ``localize`` span, gathered by a :class:`TraceCollector`) replayed through the
   discrete-event load simulator at 1/2/4/8 shards.  This host may have
   a single core, so scaling is established in simulated time — the same
   discipline the channel and latency experiments use — rather than
@@ -23,10 +23,10 @@ import json
 
 import numpy as np
 
-from repro.core import Fingerprint, VisualPrintConfig, VisualPrintServer
-from repro.features.keypoint import KeypointSet
-from repro.obs import MetricsRegistry
+from repro.core import VisualPrintConfig, VisualPrintServer
+from repro.obs import MetricsRegistry, TraceCollector, use_collector
 from repro.serving import ServingFrontend, ShardLoadModel, simulate_shard_throughput
+from repro.serving.synthetic import synthetic_query
 from repro.util.rng import rng_for
 from repro.wardrive.environment import random_sift_descriptor
 
@@ -56,31 +56,26 @@ def _build_fleet(seed: int = 2016) -> dict[str, VisualPrintServer]:
     return fleet
 
 
-def _query_for(server: VisualPrintServer, rng) -> Fingerprint:
-    take = np.sort(
-        rng.choice(server.num_mappings, size=_QUERY_KEYPOINTS, replace=False)
-    )
-    descriptors = server.descriptors[take].astype(np.float32)
-    n = len(descriptors)
-    return Fingerprint(
-        keypoints=KeypointSet(
-            positions=rng.uniform(50, 590, (n, 2)).astype(np.float32),
-            scales=np.ones(n, np.float32),
-            orientations=np.zeros(n, np.float32),
-            responses=np.ones(n, np.float32),
-            descriptors=descriptors,
-        ),
-        uniqueness_counts=np.zeros(n, dtype=np.int64),
-    )
-
-
 def _workload(fleet: dict[str, VisualPrintServer], seed: int = 2016) -> list:
     rng = rng_for(seed, "bench/serving/queries")
     items = []
     for index in range(_QUERIES_PER_VENUE * len(fleet)):
         name = f"venue-{index % len(fleet)}"
-        items.append((name, _query_for(fleet[name], rng)))
+        items.append((name, synthetic_query(fleet[name], rng, _QUERY_KEYPOINTS)))
     return items
+
+
+def _service_seconds(fleet: dict[str, VisualPrintServer], items: list) -> list[float]:
+    """Serve ``items`` on one inline shard; each query's ``localize`` span seconds."""
+    collector = TraceCollector()
+    with use_collector(collector), ServingFrontend(
+        num_shards=1, registry=MetricsRegistry()
+    ) as frontend:
+        for venue, server in fleet.items():
+            frontend.register_venue(venue, server)
+        answers = frontend.map_many(items)
+    assert len(answers) == len(items)
+    return [s.duration_seconds for s in collector.spans() if s.name == "localize"]
 
 
 def test_frontend_dispatch_overhead(serving_trajectory, benchmark):
@@ -123,15 +118,7 @@ def test_shard_scaling(serving_trajectory):
     fleet = _build_fleet()
     items = _workload(fleet)
 
-    registry = MetricsRegistry()
-    with ServingFrontend(num_shards=1, registry=registry) as frontend:
-        for venue, server in fleet.items():
-            frontend.register_venue(venue, server)
-        answers = frontend.map_many(items)
-    assert len(answers) == len(items)
-    service_seconds = registry.histogram(
-        "serving_request_seconds", shard="shard-0"
-    ).values()
+    service_seconds = _service_seconds(fleet, items)
     assert len(service_seconds) == len(items)
 
     depth = len(items)  # closed-loop: queue bound never binds
@@ -175,14 +162,7 @@ def test_shard_scaling(serving_trajectory):
 def test_saturation_shedding(serving_trajectory):
     fleet = _build_fleet()
     items = _workload(fleet)
-    registry = MetricsRegistry()
-    with ServingFrontend(num_shards=1, registry=registry) as frontend:
-        for venue, server in fleet.items():
-            frontend.register_venue(venue, server)
-        frontend.map_many(items)
-    service_seconds = registry.histogram(
-        "serving_request_seconds", shard="shard-0"
-    ).values()
+    service_seconds = _service_seconds(fleet, items)
 
     # Offer the stream at 2x one shard's sustainable rate with a short
     # queue: a reject-mode deployment sheds the excess instead of

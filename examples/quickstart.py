@@ -9,8 +9,6 @@ Run:  python examples/quickstart.py
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import SceneLibrary, SiftExtractor, SiftParams, UniquenessOracle
 from repro import VisualPrintClient, VisualPrintConfig
 from repro.codecs import PngCodec
@@ -65,26 +63,23 @@ def main() -> None:
 
     # 5. Everything above was measured as it ran: dump the client's
     #    observability snapshot (repro.obs) — per-stage latency
-    #    histograms, keypoint/byte counters, span timings.
+    #    sketches fed by the spans, keypoint/byte counters.
     print("\nmetrics snapshot (client registry):")
     snapshot = client.metrics.to_dict()
     for name, entry in snapshot["counters"].items():
         print(f"  {name}: {entry['value']:.0f}")
-    for name, entry in snapshot["histograms"].items():
+    for name, entry in snapshot["sketches"].items():
         print(
             f"  {name}: n={entry['count']} p50={entry['p50']:.4g} "
-            f"p90={entry['p90']:.4g}"
+            f"p99={entry['p99']:.4g}"
         )
-    quantiles = client.latency_quantiles("sift")
-    print(f"  sift p50/p90: {quantiles[0.5] * 1e3:.1f} / {quantiles[0.9] * 1e3:.1f} ms")
 
     # 6. The same query as a trace: per-stage latency quantiles from the
-    #    span histograms, plus a Chrome trace-event file you can load in
+    #    span sketches, plus a Chrome trace-event file you can load in
     #    chrome://tracing or https://ui.perfetto.dev.
-    print("\nper-stage latency (span histograms):")
+    print("\nper-stage latency (span sketches):")
     for stage in ("sift", "oracle", "serialize"):
-        histogram = client.metrics.histogram(f"span_{stage}_seconds")
-        stage_q = histogram.quantiles((0.5, 0.9))
+        stage_q = client.latency_quantiles(stage, (0.5, 0.9))
         print(
             f"  {stage}: p50={stage_q[0.5] * 1e3:.1f} ms "
             f"p90={stage_q[0.9] * 1e3:.1f} ms"

@@ -181,14 +181,7 @@ def _print_metrics_summary(registry: MetricsRegistry) -> None:
                 + ",".join(f"{k}={v}" for k, v in sorted(instrument.labels.items()))
                 + "}"
             )
-        if instrument.kind == "histogram":
-            quantiles = instrument.quantiles((0.5, 0.9))
-            print(
-                f"  {label}: n={instrument.count} "
-                f"p50={quantiles[0.5]:.4g} p90={quantiles[0.9]:.4g} "
-                f"sum={instrument.sum:.4g}"
-            )
-        elif instrument.kind == "sketch":
+        if instrument.kind == "sketch":
             quantiles = instrument.quantiles()
             print(
                 f"  {label}: n={instrument.count} "
@@ -559,55 +552,22 @@ def _write_obs_outputs(
 def _bootstrap_venues(root, count: int, seed: int) -> list[str]:
     """Create ``count`` small synthetic venues under ``root``, one store each.
 
-    Each venue is a wardriven-in-miniature :class:`VisualPrintServer`
-    (random SIFT descriptors at random 3D positions) committed through
-    its generational snapshot store, so a bootstrapped state directory
-    is indistinguishable from one produced by real ingest + save.
+    Each venue (:func:`repro.serving.synthetic.synthetic_venue_server`)
+    is committed through its generational snapshot store, so a
+    bootstrapped state directory is indistinguishable from one produced
+    by real ingest + save.
     """
-    import numpy as np
-
-    from repro.core import VisualPrintConfig, VisualPrintServer
     from repro.core.persistence import ServerStateStore
+    from repro.serving.synthetic import synthetic_venue_server
     from repro.util.rng import rng_for
-    from repro.wardrive.environment import random_sift_descriptor
 
     names = []
     for index in range(count):
         name = f"venue-{index}"
-        rng = rng_for(seed, f"serve/bootstrap/{name}")
-        server = VisualPrintServer(
-            VisualPrintConfig(descriptor_capacity=4096, fingerprint_size=10),
-            bounds=(np.zeros(3), np.array([10.0, 10.0, 3.0])),
-        )
-        descriptors = np.array([random_sift_descriptor(rng) for _ in range(120)])
-        server.ingest(descriptors, rng.uniform(0.0, 10.0, (120, 3)))
+        server = synthetic_venue_server(rng_for(seed, f"serve/bootstrap/{name}"))
         ServerStateStore(root / name).save(server)
         names.append(name)
     return names
-
-
-def _synthetic_query(server, rng, size: int = 24):
-    """A localization query drawn from a venue's own stored descriptors."""
-    import numpy as np
-
-    from repro.core import Fingerprint
-    from repro.features.keypoint import KeypointSet
-
-    take = rng.choice(
-        server.num_mappings, size=min(size, server.num_mappings), replace=False
-    )
-    descriptors = server.descriptors[np.sort(take)]
-    n = descriptors.shape[0]
-    keypoints = KeypointSet(
-        positions=rng.uniform(50.0, 590.0, size=(n, 2)).astype(np.float32),
-        scales=np.ones(n, np.float32),
-        orientations=np.zeros(n, np.float32),
-        responses=np.ones(n, np.float32),
-        descriptors=descriptors.astype(np.float32),
-    )
-    return Fingerprint(
-        keypoints=keypoints, uniqueness_counts=np.zeros(n, dtype=np.int64)
-    )
 
 
 def _run_serve(argv: list[str]) -> int:
@@ -682,6 +642,7 @@ def _run_serve(argv: list[str]) -> int:
 
     from repro.network import resolve_channel
     from repro.serving import ServingFrontend, load_venue_server
+    from repro.serving.synthetic import synthetic_query
     from repro.util.rng import rng_for
 
     channel = resolve_channel(args.channel)
@@ -730,7 +691,7 @@ def _run_serve(argv: list[str]) -> int:
         items = []
         for index in range(args.queries):
             name = names[index % len(names)]
-            items.append((name, _synthetic_query(servers[name], rng)))
+            items.append((name, synthetic_query(servers[name], rng)))
         answers = frontend.map_many(items)
         transfer_rng = rng_for(args.seed, "serve/uplink")
         for (_, fingerprint), _answer in zip(items, answers):

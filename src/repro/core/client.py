@@ -4,10 +4,11 @@ Per frame: extract SIFT keypoints, query the downloaded uniqueness
 oracle for every descriptor (constant time each), rank, keep the top-k,
 serialize.  The client reports everything the paper's client-overhead
 figures (Figs. 14 and 16) need into a :class:`repro.obs.MetricsRegistry`:
-per-stage latency histograms (``client_sift_seconds``,
-``client_oracle_seconds``, ``client_serialize_seconds``),
-frame/keypoint/byte counters, and a blur-rejection counter — plus
-nested per-frame :class:`repro.obs.Span` traces via ``client.tracer``.
+nested per-frame :class:`repro.obs.Span` traces via ``client.tracer``,
+whose durations are the per-stage latency sketches
+(``span_frame_seconds``, ``span_sift_seconds``, ``span_oracle_seconds``,
+``span_serialize_seconds``), frame/keypoint/byte counters, and a
+blur-rejection counter.
 
 The metrics surface is ``client.metrics`` (the registry) and
 ``client.latency_quantiles(stage)``; the pre-``repro.obs`` views
@@ -17,7 +18,6 @@ deprecation cycle and are gone.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,17 +30,11 @@ from repro.features.serialize import serialize_keypoints_into, serialized_size
 from repro.features.sift import SiftExtractor, SiftParams
 from repro.network.faults import RetryPolicy, TransferOutcome, submit_payload
 from repro.network.linkstate import AdaptiveConfig, AdaptiveOffloadPolicy
-from repro.obs import (
-    DEFAULT_BYTE_BUCKETS,
-    MetricsRegistry,
-    Tracer,
-    resolve_registry,
-    use_trace_context,
-)
+from repro.obs import MetricsRegistry, Tracer, resolve_registry, use_trace_context
 
 __all__ = ["OffloadReport", "VisualPrintClient"]
 
-#: Stages with a per-frame latency histogram (``client_<stage>_seconds``).
+#: Stages with a per-frame latency span (``span_<stage>_seconds``).
 _STAGES = ("sift", "oracle", "serialize")
 
 
@@ -103,13 +97,6 @@ class VisualPrintClient:
         if adaptive is not None and not isinstance(adaptive, AdaptiveOffloadPolicy):
             adaptive = AdaptiveOffloadPolicy(adaptive)
         self.adaptive = adaptive
-        self._m_stage_seconds = {
-            stage: self._registry.histogram(
-                f"client_{stage}_seconds",
-                help=f"per-frame wall-clock of the client {stage} stage",
-            )
-            for stage in _STAGES
-        }
         self._m_frames = self._registry.counter(
             "client_frames_total", help="frames fully processed"
         )
@@ -125,14 +112,8 @@ class VisualPrintClient:
         self._m_upload_bytes_total = self._registry.counter(
             "client_upload_bytes_total", help="cumulative fingerprint bytes"
         )
-        self._m_upload_bytes = self._registry.histogram(
-            "client_upload_bytes",
-            help="per-fingerprint upload size",
-            buckets=DEFAULT_BYTE_BUCKETS,
-        )
-        self._m_frame_seconds = self._registry.sketch(
-            "client_frame_seconds",
-            help="whole-frame pipeline wall-clock (quantile sketch)",
+        self._m_upload_bytes = self._registry.sketch(
+            "client_upload_bytes", help="per-fingerprint upload size"
         )
 
     @classmethod
@@ -171,12 +152,14 @@ class VisualPrintClient:
     ) -> dict[float, float]:
         """Per-frame latency quantiles (seconds) for one pipeline stage.
 
-        ``stage`` is one of ``"sift"``, ``"oracle"``, ``"serialize"``.
-        Returns ``{q: seconds}``; all zeros before the first frame.
+        ``stage`` is one of ``"sift"``, ``"oracle"``, ``"serialize"``;
+        the answer comes from that stage's ``span_<stage>_seconds``
+        sketch.  Returns ``{q: seconds}``; all zeros before the first
+        frame.
         """
         if stage not in _STAGES:
             raise ValueError(f"unknown stage {stage!r}; expected one of {_STAGES}")
-        return self._m_stage_seconds[stage].quantiles(qs)
+        return self._registry.sketch(f"span_{stage}_seconds").quantiles(qs)
 
     # ------------------------------------------------------------------
     # Pipeline
@@ -185,8 +168,7 @@ class VisualPrintClient:
     def extract_keypoints(self, image: np.ndarray) -> KeypointSet:
         """SIFT extraction with latency accounting."""
         with self.tracer.span("sift") as span:
-            with self._m_stage_seconds["sift"].time():
-                keypoints = self._extractor.extract(image)
+            keypoints = self._extractor.extract(image)
             span.set("keypoints", len(keypoints))
         return keypoints
 
@@ -204,12 +186,9 @@ class VisualPrintClient:
             self._account(keypoints, fingerprint)
             return fingerprint
         with self.tracer.span("oracle") as span:
-            with self._m_stage_seconds["oracle"].time():
-                counts = self.oracle.counts(keypoints.descriptors)
-                order = self.oracle.rank_by_uniqueness(
-                    keypoints.descriptors, counts=counts
-                )
-                kept = order[: config.fingerprint_size]
+            counts = self.oracle.counts(keypoints.descriptors)
+            order = self.oracle.rank_by_uniqueness(keypoints.descriptors, counts=counts)
+            kept = order[: config.fingerprint_size]
             span.set("candidates", len(keypoints))
             span.set("kept", int(kept.shape[0]))
         fingerprint = Fingerprint(
@@ -235,17 +214,13 @@ class VisualPrintClient:
         :class:`repro.obs.TraceContext` to attach the channel transfer
         and server localize legs to (see DESIGN.md §8).
         """
-        started = time.perf_counter()
-        try:
-            with self.tracer.span("frame", frame_index=frame_index) as span:
-                if self.blur_detector is not None and self.blur_detector.is_blurred(image):
-                    self._m_frames_blur.inc()
-                    span.set("rejected", "blur")
-                    return None
-                keypoints = self.extract_keypoints(image)
-                return self.fingerprint_keypoints(keypoints, frame_index=frame_index)
-        finally:
-            self._m_frame_seconds.observe(time.perf_counter() - started)
+        with self.tracer.span("frame", frame_index=frame_index) as span:
+            if self.blur_detector is not None and self.blur_detector.is_blurred(image):
+                self._m_frames_blur.inc()
+                span.set("rejected", "blur")
+                return None
+            keypoints = self.extract_keypoints(image)
+            return self.fingerprint_keypoints(keypoints, frame_index=frame_index)
 
     # ------------------------------------------------------------------
     # Recovery: retries, degradation, backpressure
@@ -361,12 +336,9 @@ class VisualPrintClient:
                 (count, DESCRIPTOR_DIM), dtype=np.float32
             )
         with self.tracer.span("serialize") as span:
-            with self._m_stage_seconds["serialize"].time():
-                upload_bytes = serialize_keypoints_into(
-                    fingerprint.keypoints,
-                    self._serialize_buffer,
-                    scratch=scratch[:count],
-                )
+            upload_bytes = serialize_keypoints_into(
+                fingerprint.keypoints, self._serialize_buffer, scratch=scratch[:count]
+            )
             span.set("bytes", upload_bytes)
         self._last_upload_bytes = upload_bytes
         self._m_frames.inc()

@@ -19,8 +19,10 @@ loses its spot in the fingerprint to the next-most-unique one.
 
 Every oracle reports into a :class:`repro.obs.MetricsRegistry`
 (explicit, contextual, or private — see :func:`repro.obs.resolve_registry`):
-insert/lookup latency histograms, descriptor counters, multiprobe-accept
+insert/counts latency sketches, descriptor counters, multiprobe-accept
 and verification-veto counters, and a counter-saturation gauge.
+:meth:`UniquenessOracle.lookup_batch` is timed by its
+``oracle.lookup_batch`` span (``span_oracle_lookup_batch_seconds``).
 """
 
 from __future__ import annotations
@@ -127,20 +129,17 @@ class UniquenessOracle:
         self.tracer = Tracer(self._registry)
         # Instrument handles are bound once: the counts() hot path pays
         # one perf_counter pair + two attribute calls, nothing more.
-        self._m_insert_seconds = self._registry.histogram(
+        self._m_insert_seconds = self._registry.sketch(
             "oracle_insert_seconds", help="wall-clock per insert() call"
         )
         self._m_inserted_total = self._registry.counter(
             "oracle_descriptors_inserted_total", help="descriptors indexed"
         )
-        self._m_counts_seconds = self._registry.histogram(
+        self._m_counts_seconds = self._registry.sketch(
             "oracle_counts_seconds", help="wall-clock per counts() batch"
         )
         self._m_counts_descriptors = self._registry.counter(
             "oracle_counts_descriptors_total", help="descriptors passed to counts()"
-        )
-        self._m_lookup_seconds = self._registry.histogram(
-            "oracle_lookup_seconds", help="wall-clock per lookup_batch() call"
         )
         self._m_lookups_total = self._registry.counter(
             "oracle_lookups_total", help="descriptors resolved via lookup paths"
@@ -197,20 +196,21 @@ class UniquenessOracle:
             descriptors[start : start + batch_size]
             for start in range(0, descriptors.shape[0], batch_size)
         ]
-        with self._m_insert_seconds.time():
-            if workers > 1 and len(batches) > 1:
-                from repro.parallel import parallel_map
+        start = time.perf_counter()
+        if workers > 1 and len(batches) > 1:
+            from repro.parallel import parallel_map
 
-                hashed = parallel_map(
-                    partial(_hash_wardrive_batch, self.config),
-                    batches,
-                    workers=workers,
-                )
-                for batch, table_indices in zip(batches, hashed):
-                    self._apply_hashed(table_indices, batch.shape[0])
-            else:
-                for batch in batches:
-                    self._insert_batch(batch)
+            hashed = parallel_map(
+                partial(_hash_wardrive_batch, self.config),
+                batches,
+                workers=workers,
+            )
+            for batch, table_indices in zip(batches, hashed):
+                self._apply_hashed(table_indices, batch.shape[0])
+        else:
+            for batch in batches:
+                self._insert_batch(batch)
+        self._m_insert_seconds.observe(time.perf_counter() - start)
         self._m_inserted_total.inc(descriptors.shape[0])
         self._m_saturation.set(self.saturation_ratio())
 
@@ -372,7 +372,6 @@ class UniquenessOracle:
     def _lookup_batch_vectorized(
         self, descriptors: np.ndarray
     ) -> list[OracleLookup]:
-        start = time.perf_counter()
         descriptors = np.asarray(descriptors, dtype=np.float32)
         if descriptors.ndim != 2:
             raise ValueError(f"descriptors must be 2-D, got {descriptors.shape}")
@@ -422,7 +421,6 @@ class UniquenessOracle:
             )
             for row in range(num)
         ]
-        self._m_lookup_seconds.observe(time.perf_counter() - start)
         self._m_lookups_total.inc(num)
         if multiprobe_accepts:
             self._m_multiprobe_accepts.inc(multiprobe_accepts)
@@ -437,7 +435,6 @@ class UniquenessOracle:
         the property tests compare the vectorized path against and (b)
         as the baseline the ``bench_parallel`` trajectory measures.
         """
-        start = time.perf_counter()
         descriptors = np.asarray(descriptors, dtype=np.float32)
         if descriptors.ndim != 2:
             raise ValueError(f"descriptors must be 2-D, got {descriptors.shape}")
@@ -495,7 +492,6 @@ class UniquenessOracle:
                     used_multiprobe=used_multiprobe,
                 )
             )
-        self._m_lookup_seconds.observe(time.perf_counter() - start)
         self._m_lookups_total.inc(num)
         if multiprobe_accepts:
             self._m_multiprobe_accepts.inc(multiprobe_accepts)

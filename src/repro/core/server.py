@@ -18,6 +18,7 @@ scene-identification queries over an image database (labels instead of
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,7 @@ from repro.localization.solver import (
     LocalizationSolution,
 )
 from repro.lsh import LshIndex
-from repro.obs import DEFAULT_BYTE_BUCKETS, MetricsRegistry, Tracer, resolve_registry
+from repro.obs import MetricsRegistry, Tracer, resolve_registry
 
 __all__ = ["LocalizationAnswer", "VisualPrintServer"]
 
@@ -75,19 +76,14 @@ class VisualPrintServer:
         self._positions: list[np.ndarray] = []
         self._bounds = bounds
         self._localizer = AngularLocalizer(seed=self.config.seed)
-        self._m_ingest_seconds = self._registry.histogram(
+        self._m_ingest_seconds = self._registry.sketch(
             "server_ingest_seconds", help="wall-clock per ingest() batch"
         )
-        self._m_ingest_bytes = self._registry.histogram(
-            "server_ingest_bytes",
-            help="descriptor payload bytes per ingest() batch",
-            buckets=DEFAULT_BYTE_BUCKETS,
+        self._m_ingest_bytes = self._registry.sketch(
+            "server_ingest_bytes", help="descriptor payload bytes per ingest() batch"
         )
         self._m_ingest_descriptors = self._registry.counter(
             "server_ingest_descriptors_total", help="keypoint-to-3D mappings ingested"
-        )
-        self._m_localize_seconds = self._registry.histogram(
-            "server_localize_seconds", help="wall-clock per localize() query"
         )
         self._m_localizations = self._registry.counter(
             "server_localizations_total", help="localization queries answered"
@@ -96,15 +92,12 @@ class VisualPrintServer:
             "server_fallback_poses_total",
             help="queries answered with the no-match fallback pose",
         )
-        self._m_matched_points = self._registry.histogram(
-            "server_matched_points",
-            help="LSH-matched 3D points per query",
-            buckets=(0.0, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0),
+        self._m_matched_points = self._registry.sketch(
+            "server_matched_points", help="LSH-matched 3D points per query"
         )
-        self._m_clustered_points = self._registry.histogram(
+        self._m_clustered_points = self._registry.sketch(
             "server_clustered_points",
             help="points surviving spatial clustering per query",
-            buckets=(0.0, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0),
         )
 
     @classmethod
@@ -145,15 +138,15 @@ class VisualPrintServer:
         positions_3d = np.asarray(positions_3d, dtype=np.float64)
         if descriptors.shape[0] != positions_3d.shape[0]:
             raise ValueError("descriptors and positions must align")
-        with self._m_ingest_seconds.time():
-            start_row = self.num_mappings
-            self._descriptors.append(descriptors)
-            self._positions.append(positions_3d)
-            self.oracle.insert(descriptors)
-            self.lookup.insert(
-                descriptors,
-                np.arange(start_row, start_row + descriptors.shape[0]),
-            )
+        start = time.perf_counter()
+        start_row = self.num_mappings
+        self._descriptors.append(descriptors)
+        self._positions.append(positions_3d)
+        self.oracle.insert(descriptors)
+        self.lookup.insert(
+            descriptors, np.arange(start_row, start_row + descriptors.shape[0])
+        )
+        self._m_ingest_seconds.observe(time.perf_counter() - start)
         self._m_ingest_bytes.observe(descriptors.nbytes)
         self._m_ingest_descriptors.inc(descriptors.shape[0])
 
@@ -254,13 +247,13 @@ class VisualPrintServer:
         call runs under that frame's span or inside a
         :func:`repro.obs.use_trace_context` block — one ``trace_id``
         then covers client compute, channel transfer, and this server
-        leg end to end.
+        leg end to end.  The span is this call's only timer: its duration
+        lands in the ``span_localize_seconds`` sketch.
         """
         with self.tracer.span(
             "localize", frame_index=fingerprint.frame_index
         ) as span:
-            with self._m_localize_seconds.time():
-                answer = self._localize(fingerprint)
+            answer = self._localize(fingerprint)
             span.set("matched_points", answer.matched_points)
             span.set("clustered_points", answer.clustered_points)
         self._m_localizations.inc()

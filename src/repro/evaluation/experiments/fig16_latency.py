@@ -5,11 +5,11 @@ filter lookups + sorting 217 ms — extraction dominates by ~15x.  Our
 absolute numbers come from this host; the hardware-independent shape is
 the ratio (SIFT >= 5x oracle ranking per frame).
 
-The driver reads its per-stage samples from the client's metrics
-registry (``client_sift_seconds`` / ``client_oracle_seconds``
-histograms) and additionally pushes every fingerprint through an uplink
+This experiment takes its per-stage samples from each frame's ``sift`` /
+``oracle`` child spans (returned with the payload size, one sample per
+frame) and additionally pushes every fingerprint through an uplink
 channel model, so a ``--metrics-json`` run captures the full
-shutter-to-server accounting: sift/oracle/serialize latency histograms,
+shutter-to-server accounting: the ``span_*_seconds`` stage sketches,
 upload-byte counters, and ``network_transfer_seconds``.
 
 A ``--trace-out`` run additionally yields one correlated trace per
@@ -36,7 +36,7 @@ from repro.features.serialize import serialized_size
 from repro.imaging.synth import SceneLibrary
 from repro.network import CHANNEL_PRESETS, FaultSpec, FaultyChannel, RetryPolicy
 from repro.network.faults import submit_payload
-from repro.obs import TraceContext, resolve_registry, use_trace_context
+from repro.obs import resolve_registry, use_trace_context
 from repro.parallel import get_shared, parallel_map
 from repro.util.rng import rng_for
 
@@ -49,20 +49,31 @@ def _make_client() -> tuple:
     return library, VisualPrintClient(oracle, config)
 
 
-def _process_frame(frame: int, context: tuple) -> tuple[int, int, TraceContext | None]:
-    """Fingerprint one frame; returns (payload size, keypoints, trace ctx).
+def _process_frame(frame: int, context: tuple) -> tuple:
+    """Fingerprint one frame.
 
+    Returns ``(payload size, keypoints, trace ctx, sift s, oracle s)``.
     The trace context travels back to the parent so the channel
     transfer — applied sequentially after the pool for rng determinism —
     can join the frame's trace (one ``trace_id`` per query end to end).
     The keypoint count lets the parent build the degradation ladder
-    without shipping the fingerprint itself across the pool.
+    without shipping the fingerprint itself across the pool.  The two
+    stage durations are the frame span's ``sift`` and ``oracle``
+    children (``None`` for a frame without keypoints: no oracle stage).
     """
     library, client = context
     scene = frame % library.num_scenes
     view = frame % library.views_per_scene
     fingerprint = client.process_frame(library.query_view(scene, view), frame)
-    return fingerprint.upload_bytes, len(fingerprint), client.tracer.last_context()
+    root = client.tracer.last_root()
+    oracle = root.child("oracle")
+    return (
+        fingerprint.upload_bytes,
+        len(fingerprint),
+        root.context,
+        root.child("sift").duration_seconds,
+        oracle.duration_seconds if oracle is not None else None,
+    )
 
 
 class _UplinkEngine:
@@ -83,7 +94,7 @@ class _UplinkEngine:
         self.registry = registry
 
     def serve(self, payload):
-        size, num_keypoints, trace_context = payload
+        size, num_keypoints, trace_context, *_ = payload
         with use_trace_context(trace_context):
             if self.retry is None:
                 return self.channel_model.transfer_seconds(size, self.rng)
@@ -112,10 +123,11 @@ def run(
 
     ``workers`` fans the frame loop across a process pool; each worker
     constructs its own :class:`VisualPrintClient` (in ``chunk_setup``)
-    so the per-frame latency histograms merge back into this run's
-    registry in deterministic chunk order.  Transfer jitter — and every
-    fault/retry decision — is applied in the parent, consuming its rng
-    streams sequentially, so the samples match a serial run exactly.
+    so the per-frame latency sketches merge back into this run's
+    registry, and the per-frame samples come back in frame order.
+    Transfer jitter — and every fault/retry decision — is applied in
+    the parent, consuming its rng streams sequentially, so the samples
+    match a serial run exactly.
 
     ``serving`` routes the transfer legs through an inline
     :class:`repro.serving.ServingFrontend` venue (``fig16/uplink``)
@@ -150,7 +162,7 @@ def run(
         chunk_setup=_make_client,
         registry=registry,
     )
-    upload_bytes = [size for size, _, _ in outcomes]
+    upload_bytes = [size for size, *_ in outcomes]
 
     uplink = CHANNEL_PRESETS[channel]
     channel_model = (
@@ -190,8 +202,8 @@ def run(
             "retries": retries,
         }
 
-    sift = np.array(registry.histogram("client_sift_seconds").values())
-    oracle_t = np.array(registry.histogram("client_oracle_seconds").values())
+    sift = np.array([sift_s for *_, sift_s, _ in outcomes])
+    oracle_t = np.array([oracle_s for *_, oracle_s in outcomes if oracle_s is not None])
     transfer_arr = np.array(transfer) if transfer else np.zeros(0)
     return {
         "sift_seconds": sift,

@@ -8,8 +8,8 @@ costs once, then replay them in simulated time — scaled up to a fleet:
    deterministic default — a ``--fast`` CI run must be bit-identical
    across reruns) or from :func:`calibrate_service_seconds`, which
    boots a small *real* :class:`repro.serving.ServingFrontend`, serves
-   real localization queries, and harvests the
-   ``serving_request_seconds`` histogram.
+   real localization queries, and returns each query's ``localize``
+   span duration.
 2. **Generate.**  :func:`repro.loadgen.arrivals.generate_arrivals`
    synthesizes the open-loop arrival stream (Poisson users, burst
    envelope, mobility sessions, Zipf venues) in parallel blocks.
@@ -57,8 +57,11 @@ from repro.network.faults import RetryPolicy, submit_payload
 from repro.network.linkstate import AdaptiveConfig, AdaptiveOffloadPolicy
 from repro.obs import (
     MetricsRegistry,
+    TraceCollector,
     current_slo_tracker,
+    isolated_trace_state,
     resolve_registry,
+    use_collector,
 )
 from repro.serving import QUERY_SERVED, VenueRegistry, simulate_queue_network
 from repro.util.rng import rng_for
@@ -106,42 +109,32 @@ def calibrate_service_seconds(
 
     Builds a miniature fleet (synthetic wardriven venues), serves
     ``queries`` real localization queries through a one-shard inline
-    :class:`repro.serving.ServingFrontend`, and returns the
-    ``serving_request_seconds`` samples.  Wall-clock measurement — not
+    :class:`repro.serving.ServingFrontend`, and returns one duration per
+    query: its ``localize`` span.  Wall-clock measurement — not
     deterministic across hosts or reruns; use
     :func:`synthetic_service_seconds` when the output must be.
     """
-    from repro.core import VisualPrintConfig, VisualPrintServer
     from repro.serving import ServingFrontend
-    from repro.wardrive.environment import random_sift_descriptor
+    from repro.serving.synthetic import synthetic_query, synthetic_venue_server
 
-    registry = MetricsRegistry()
-    frontend = ServingFrontend(num_shards=1, registry=registry)
+    frontend = ServingFrontend(num_shards=1, registry=MetricsRegistry())
     servers = {}
     for index in range(venues):
         name = f"venue-{index}"
-        rng = rng_for(seed, f"loadgen/calibrate/{name}")
-        server = VisualPrintServer(
-            VisualPrintConfig(descriptor_capacity=4096, fingerprint_size=10),
-            bounds=(np.zeros(3), np.array([10.0, 10.0, 3.0])),
+        servers[name] = synthetic_venue_server(
+            rng_for(seed, f"loadgen/calibrate/{name}"), descriptors_per_venue
         )
-        descriptors = np.array(
-            [random_sift_descriptor(rng) for _ in range(descriptors_per_venue)]
-        )
-        server.ingest(
-            descriptors, rng.uniform(0, 10, (descriptors_per_venue, 3))
-        )
-        servers[name] = server
-        frontend.register_venue(name, server)
-    from repro.cli import _synthetic_query
-
+        frontend.register_venue(name, servers[name])
+    collector = TraceCollector()
     rng = rng_for(seed, "loadgen/calibrate/queries")
-    for index in range(queries):
-        name = f"venue-{index % venues}"
-        frontend.call(name, _synthetic_query(servers[name], rng))
+    with isolated_trace_state(), use_collector(collector):
+        for index in range(queries):
+            name = f"venue-{index % venues}"
+            frontend.call(name, synthetic_query(servers[name], rng))
     frontend.close()
-    samples = registry.histogram("serving_request_seconds").values()
-    return np.asarray(samples, dtype=np.float64)
+    return np.array(
+        [span.duration_seconds for span in collector.spans() if span.name == "localize"]
+    )
 
 
 def _replica_choices(

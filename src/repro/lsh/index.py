@@ -133,6 +133,9 @@ class LshIndex:
         the quadratic cost of rebuilding over all history each time.
         Bucket capping keeps first-inserted rows, matching what a
         one-shot :meth:`build` over the concatenated data produces.
+        A rejected batch leaves the index as it was: its rows land in
+        spare capacity past ``size`` and count as stored only once the
+        batch's buckets pass the range check.
         """
         descriptors = np.asarray(descriptors, dtype=np.float32)
         item_ids = np.asarray(item_ids, dtype=np.int64)
@@ -154,9 +157,9 @@ class LshIndex:
         self._norms_store[start_row : start_row + num_new] = np.einsum(
             "ij,ij->i", descriptors, descriptors, dtype=np.float64
         )
+        quantized = QuantizedBuckets(self.projections.quantize(descriptors))
         self._size += num_new
 
-        quantized = QuantizedBuckets(self.projections.quantize(descriptors))
         cap = self.max_bucket_size
         for table in range(self.params.num_tables):
             keys = quantized.table_keys(table)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.obs import DEFAULT_BYTE_BUCKETS, current_registry, record_span
+from repro.obs import current_registry, record_span
 from repro.util.validation import check_positive
 
 __all__ = ["UplinkChannel", "CHANNEL_PRESETS", "resolve_channel"]
@@ -53,17 +53,16 @@ def _record_transfer(
     registry = current_registry()
     if registry is None:
         return
-    registry.histogram(
+    registry.sketch(
         "network_transfer_seconds",
         help="one-way transfer latency per payload",
         channel=channel_name,
         direction=direction,
     ).observe(seconds)
     if direction == "up":
-        registry.histogram(
+        registry.sketch(
             "network_upload_bytes",
             help="payload size per upload",
-            buckets=DEFAULT_BYTE_BUCKETS,
             channel=channel_name,
         ).observe(num_bytes)
         registry.counter(

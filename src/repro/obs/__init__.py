@@ -1,7 +1,7 @@
 """``repro.obs`` — the observability layer of the reproduction.
 
 Dependency-free metrics (:class:`Counter` / :class:`Gauge` /
-:class:`Histogram` in a :class:`MetricsRegistry`), request-scoped
+:class:`QuantileSketch` in a :class:`MetricsRegistry`), request-scoped
 tracing (:class:`Span` trees with ``trace_id`` identity, propagated via
 :class:`TraceContext` and gathered by a :class:`TraceCollector`), a
 :class:`FlightRecorder` retaining the slowest query traces, exporters
@@ -48,12 +48,9 @@ from repro.obs.export import (
 )
 from repro.obs.flightrecorder import FlightRecorder, format_trace
 from repro.obs.metrics import (
-    DEFAULT_BYTE_BUCKETS,
-    DEFAULT_LATENCY_BUCKETS,
     DEFAULT_MAX_LABEL_SETS,
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     current_registry,
     get_global_registry,
@@ -87,14 +84,11 @@ from repro.obs.tracing import (
 
 __all__ = [
     "Counter",
-    "DEFAULT_BYTE_BUCKETS",
-    "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_MAX_LABEL_SETS",
     "DEFAULT_QUANTILES",
     "EventLog",
     "FlightRecorder",
     "Gauge",
-    "Histogram",
     "MetricViolation",
     "MetricsRegistry",
     "QuantileSketch",

@@ -10,10 +10,13 @@ ignored, so adding instrumentation never breaks the gate, while a
 counter that silently vanishes (an instrumented code path stopped
 running) is a violation, not a skip.
 
-Scalars compared: counter values, gauge values, and histogram
-*observation counts* (exposed as ``<name>.count``).  Histogram sums and
+Scalars compared: counter values, gauge values, and sketch
+*observation counts* (exposed as ``<name>.count``).  Sketch sums and
 quantiles are host-dependent wall-clock and deliberately excluded from
 the default contract; CI baselines should name deterministic counters.
+Snapshots written before the reservoir histogram was removed keep their
+distributions under ``"histograms"``; that section flattens to the same
+``<name>.count`` scalars, so old baselines gate new snapshots as is.
 """
 
 from __future__ import annotations

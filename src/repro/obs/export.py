@@ -1,9 +1,10 @@
 """Exporters: Prometheus text, Chrome trace-event JSON, NDJSON spans.
 
 ``render_prometheus`` emits the version-0.0.4 text format (``# HELP`` /
-``# TYPE`` headers, cumulative ``_bucket{le=...}`` samples for
-histograms, escaped help text and label values).  ``parse_prometheus``
-reads that format back into flat samples so tests can prove the export
+``# TYPE`` headers, every sketch as a ``summary`` — ``{quantile=...}``
+samples plus ``_sum`` / ``_count`` — escaped help text and label
+values).  ``parse_prometheus`` reads that format back into flat
+samples so tests can prove the export
 round-trips a registry exactly — and so scrapes from a real Prometheus
 endpoint stay byte-compatible if one is ever bolted on.
 
@@ -76,12 +77,13 @@ def render_prometheus(registry: "MetricsRegistry") -> str:
             seen_headers.add(instrument.name)
             if instrument.help:
                 lines.append(f"# HELP {instrument.name} {_escape_help(instrument.help)}")
-            lines.append(f"# TYPE {instrument.name} {instrument.kind}")
+            kind = "summary" if instrument.kind == "sketch" else instrument.kind
+            lines.append(f"# TYPE {instrument.name} {kind}")
             samples_by_family[instrument.name] = []
             lines.append(f"__SAMPLES__{instrument.name}")
     for name, labels, value in registry.samples():
         family = name
-        for suffix in ("_bucket", "_sum", "_count"):
+        for suffix in ("_sum", "_count"):
             if name.endswith(suffix) and name[: -len(suffix)] in samples_by_family:
                 family = name[: -len(suffix)]
                 break

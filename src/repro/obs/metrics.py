@@ -1,10 +1,11 @@
-"""Instrument primitives: counters, gauges, histograms, and a registry.
+"""Instrument primitives: counters, gauges, sketches, and a registry.
 
 The observability layer the rest of the reproduction reports into.  It
 is deliberately dependency-free (stdlib only — not even numpy) so the
 hot paths it instruments pay microseconds, not imports: a
-:class:`Counter` increment is one float add, a :class:`Histogram`
-observation is a bisect plus an (amortized O(1)) reservoir update.
+:class:`Counter` increment is one float add, a
+:class:`repro.obs.sketch.QuantileSketch` observation one logarithm and
+one dict update.
 
 Three design points worth knowing:
 
@@ -19,54 +20,32 @@ Three design points worth knowing:
   :func:`use_registry`, else into a private one.  The CLI wraps every
   experiment in ``use_registry`` so one ``--metrics-json`` snapshot
   captures client, oracle, network, and server at once.
-* **Reservoir quantiles.**  Histograms keep fixed cumulative buckets
-  (Prometheus-style) *and* a bounded uniform sample of raw values
-  (Vitter's Algorithm R, seeded per-instrument for determinism) so
-  ``quantile(0.5)`` stays accurate without unbounded memory.
+* **One distribution type.**  Every latency, size and count
+  distribution is a :class:`QuantileSketch`: bounded, relative-error
+  quantiles, and an exactly mergeable state, so a ``workers=N`` run
+  reports the same quantiles as a serial one.
 """
 
 from __future__ import annotations
 
 import json
-import random
 import threading
-import time
-import zlib
-from bisect import bisect_left
+import warnings
 from contextlib import contextmanager
 from typing import Any, Iterator
 
-from repro.obs.sketch import QuantileSketch
+from repro.obs.sketch import DEFAULT_QUANTILES, QuantileSketch
 
 __all__ = [
     "Counter",
-    "DEFAULT_BYTE_BUCKETS",
-    "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_MAX_LABEL_SETS",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "QuantileSketch",
     "current_registry",
     "get_global_registry",
     "use_registry",
 ]
-
-# Seconds-scale bounds covering microsecond instrument overhead up to
-# multi-second SIFT extraction (Fig. 16's range on phone-class hardware).
-DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = (
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
-    0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-)
-
-# Payload-size bounds: a fingerprint is KB-scale, a lossless frame is
-# hundreds of KB (Fig. 14's two curves live at opposite ends).
-DEFAULT_BYTE_BUCKETS: tuple[float, ...] = (
-    256.0, 1024.0, 4096.0, 16384.0, 65536.0,
-    262144.0, 1048576.0, 4194304.0, 16777216.0,
-)
-
-_RESERVOIR_SIZE = 1024
 
 #: Per-instrument-name cap on distinct label sets.  At fleet scale a
 #: per-venue label can mint unbounded instruments; past the cap new
@@ -160,190 +139,6 @@ class Gauge:
         self._value = max(self._value, float(state["value"]))
 
 
-class Histogram:
-    """Fixed cumulative buckets plus a reservoir for quantiles."""
-
-    kind = "histogram"
-    __slots__ = (
-        "name", "help", "labels", "bucket_bounds", "_bucket_counts",
-        "_count", "_sum", "_min", "_max", "_reservoir", "_rng",
-    )
-
-    def __init__(
-        self,
-        name: str,
-        help: str = "",
-        labels: dict[str, str] | None = None,
-        buckets: tuple[float, ...] | None = None,
-    ):
-        self.name = name
-        self.help = help
-        self.labels = dict(labels or {})
-        bounds = tuple(float(b) for b in (buckets or DEFAULT_LATENCY_BUCKETS))
-        if list(bounds) != sorted(bounds) or len(set(bounds)) != len(bounds):
-            raise ValueError(f"histogram buckets must be strictly increasing: {bounds}")
-        self.bucket_bounds = bounds
-        self._bucket_counts = [0] * (len(bounds) + 1)  # last slot = +Inf
-        self._count = 0
-        self._sum = 0.0
-        self._min = float("inf")
-        self._max = float("-inf")
-        self._reservoir: list[float] = []
-        # Deterministic per-instrument stream: same observations in the
-        # same order always summarize identically, in any process (a
-        # CRC, unlike ``hash(str)``, is not salted per process).
-        self._rng = random.Random(zlib.crc32(name.encode()))
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        self._bucket_counts[bisect_left(self.bucket_bounds, value)] += 1
-        self._count += 1
-        self._sum += value
-        if value < self._min:
-            self._min = value
-        if value > self._max:
-            self._max = value
-        if len(self._reservoir) < _RESERVOIR_SIZE:
-            self._reservoir.append(value)
-        else:  # Algorithm R replacement keeps a uniform sample.
-            slot = self._rng.randrange(self._count)
-            if slot < _RESERVOIR_SIZE:
-                self._reservoir[slot] = value
-
-    @contextmanager
-    def time(self) -> Iterator[None]:
-        """Observe the wall-clock duration of a ``with`` block."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.observe(time.perf_counter() - start)
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def sum(self) -> float:
-        return self._sum
-
-    @property
-    def mean(self) -> float:
-        return self._sum / self._count if self._count else 0.0
-
-    def values(self) -> list[float]:
-        """Reservoir snapshot (exact and insertion-ordered until
-        ``_RESERVOIR_SIZE`` observations, a uniform subsample after)."""
-        return list(self._reservoir)
-
-    def quantile(self, q: float) -> float:
-        """Reservoir quantile with linear interpolation; 0.0 when empty."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if not self._reservoir:
-            return 0.0
-        ordered = sorted(self._reservoir)
-        position = q * (len(ordered) - 1)
-        low = int(position)
-        high = min(low + 1, len(ordered) - 1)
-        fraction = position - low
-        return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
-
-    def quantiles(self, qs: tuple[float, ...] = (0.5, 0.9, 0.99)) -> dict[float, float]:
-        if not self._reservoir:
-            return {q: 0.0 for q in qs}
-        ordered = sorted(self._reservoir)
-        out = {}
-        for q in qs:
-            if not 0.0 <= q <= 1.0:
-                raise ValueError(f"quantile must be in [0, 1], got {q}")
-            position = q * (len(ordered) - 1)
-            low = int(position)
-            high = min(low + 1, len(ordered) - 1)
-            fraction = position - low
-            out[q] = ordered[low] * (1.0 - fraction) + ordered[high] * fraction
-        return out
-
-    def bucket_counts(self) -> list[tuple[float, int]]:
-        """Cumulative ``(upper_bound, count)`` pairs, ending at +Inf."""
-        cumulative = 0
-        pairs: list[tuple[float, int]] = []
-        for bound, count in zip(self.bucket_bounds, self._bucket_counts):
-            cumulative += count
-            pairs.append((bound, cumulative))
-        pairs.append((float("inf"), cumulative + self._bucket_counts[-1]))
-        return pairs
-
-    def reset(self) -> None:
-        self._bucket_counts = [0] * (len(self.bucket_bounds) + 1)
-        self._count = 0
-        self._sum = 0.0
-        self._min = float("inf")
-        self._max = float("-inf")
-        self._reservoir.clear()
-
-    def state(self) -> dict[str, Any]:
-        return {
-            "buckets": tuple(self.bucket_bounds),
-            "bucket_counts": list(self._bucket_counts),
-            "count": self._count,
-            "sum": self._sum,
-            "min": self._min,
-            "max": self._max,
-            "reservoir": list(self._reservoir),
-        }
-
-    def merge_state(self, state: dict[str, Any]) -> None:
-        """Fold another histogram's state in.
-
-        Bucket counts, totals, and extrema merge exactly.  The reservoir
-        merge is an approximation: incoming samples are appended and the
-        combined list truncated to the reservoir capacity, which keeps
-        the merge deterministic (independent of worker completion order,
-        since callers merge in chunk order) at the cost of slightly
-        biasing quantiles toward earlier chunks once the reservoir
-        overflows.
-        """
-        if tuple(state["buckets"]) != self.bucket_bounds:
-            raise ValueError(
-                f"cannot merge histogram {self.name!r}: bucket bounds differ "
-                f"({state['buckets']} vs {self.bucket_bounds})"
-            )
-        self._bucket_counts = [
-            a + b for a, b in zip(self._bucket_counts, state["bucket_counts"])
-        ]
-        self._count += int(state["count"])
-        self._sum += float(state["sum"])
-        self._min = min(self._min, float(state["min"]))
-        self._max = max(self._max, float(state["max"]))
-        self._reservoir.extend(state["reservoir"])
-        del self._reservoir[_RESERVOIR_SIZE:]
-
-    def to_dict(self) -> dict[str, Any]:
-        quantiles = self.quantiles((0.5, 0.9, 0.99))
-        return {
-            "count": self._count,
-            "sum": self._sum,
-            "min": self._min if self._count else 0.0,
-            "max": self._max if self._count else 0.0,
-            "mean": self.mean,
-            "p50": quantiles[0.5],
-            "p90": quantiles[0.9],
-            "p99": quantiles[0.99],
-            "buckets": [
-                {"le": bound, "count": count} for bound, count in self.bucket_counts()
-            ],
-        }
-
-
-class _NullContext:
-    def __enter__(self) -> "_NullContext":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
-
 class _NullInstrument:
     """No-op stand-in handed out by a disabled registry."""
 
@@ -367,9 +162,6 @@ class _NullInstrument:
     def observe(self, value: float) -> None:
         pass
 
-    def time(self) -> _NullContext:
-        return _NullContext()
-
     def reset(self) -> None:
         pass
 
@@ -385,13 +177,10 @@ class _NullInstrument:
     def sum(self) -> float:
         return 0.0
 
-    def values(self) -> list[float]:
-        return []
-
     def quantile(self, q: float) -> float:
         return 0.0
 
-    def quantiles(self, qs: tuple[float, ...] = (0.5, 0.9, 0.99)) -> dict[float, float]:
+    def quantiles(self, qs: tuple[float, ...] = DEFAULT_QUANTILES) -> dict[float, float]:
         return {q: 0.0 for q in qs}
 
     def to_dict(self) -> dict[str, Any]:
@@ -498,15 +287,6 @@ class MetricsRegistry:
     def gauge(self, name: str, help: str = "", **labels: str) -> Gauge:
         return self._get_or_create(Gauge, name, help, labels)
 
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        buckets: tuple[float, ...] | None = None,
-        **labels: str,
-    ) -> Histogram:
-        return self._get_or_create(Histogram, name, help, labels, buckets=buckets)
-
     def sketch(
         self,
         name: str,
@@ -519,6 +299,21 @@ class MetricsRegistry:
             QuantileSketch, name, help, labels,
             relative_accuracy=relative_accuracy,
         )
+
+    def histogram(
+        self, name: str, help: str = "", buckets: object = None, **labels: str
+    ) -> QuantileSketch:
+        """Deprecated: the reservoir histogram is gone; use :meth:`sketch`.
+
+        Returns the same-named sketch (``buckets`` is ignored: sketches
+        need no bucket bounds).  Kept for one release.
+        """
+        warnings.warn(
+            "MetricsRegistry.histogram() is deprecated; use sketch()",
+            DeprecationWarning,
+            stacklevel=2,
+        )
+        return self.sketch(name, help, **labels)
 
     # -- introspection / export ----------------------------------------
 
@@ -548,7 +343,7 @@ class MetricsRegistry:
 
         Unlike :meth:`to_dict` (a lossy human/JSON view), this captures
         everything needed to fold one registry into another: kind, name,
-        help, labels, histogram bucket bounds, and raw instrument state.
+        help, labels, sketch accuracy, and raw instrument state.
         The payload is plain builtins, so it pickles cheaply across
         process boundaries (the :mod:`repro.parallel` worker protocol).
         """
@@ -569,7 +364,7 @@ class MetricsRegistry:
         """Fold a :meth:`state` snapshot into this registry.
 
         Instruments are get-or-created by (name, labels) — counters add,
-        gauges take the max, histograms combine buckets/totals (see each
+        gauges take the max, sketches add buckets (see each
         instrument's ``merge_state``).  Merging the same snapshot twice
         double-counts; callers merge each worker snapshot exactly once.
         """
@@ -582,13 +377,6 @@ class MetricsRegistry:
                 instrument = self.counter(entry["name"], help=entry["help"], **labels)
             elif kind == "gauge":
                 instrument = self.gauge(entry["name"], help=entry["help"], **labels)
-            elif kind == "histogram":
-                instrument = self.histogram(
-                    entry["name"],
-                    help=entry["help"],
-                    buckets=tuple(entry["state"]["buckets"]),
-                    **labels,
-                )
             elif kind == "sketch":
                 instrument = self.sketch(
                     entry["name"],
@@ -618,14 +406,6 @@ class MetricsRegistry:
             base = _label_key(instrument.labels)
             if instrument.kind in ("counter", "gauge"):
                 out.append((instrument.name, base, instrument.value))
-            elif instrument.kind == "histogram":
-                for bound, count in instrument.bucket_counts():
-                    le = "+Inf" if bound == float("inf") else repr(bound)
-                    out.append(
-                        (f"{instrument.name}_bucket", base + (("le", le),), float(count))
-                    )
-                out.append((f"{instrument.name}_sum", base, instrument.sum))
-                out.append((f"{instrument.name}_count", base, float(instrument.count)))
             elif instrument.kind == "sketch":
                 # Rendered like a Prometheus summary: one sample per
                 # precomputed quantile plus the _sum/_count pair.
@@ -639,15 +419,8 @@ class MetricsRegistry:
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready snapshot grouped by instrument kind."""
-        snapshot: dict[str, Any] = {
-            "counters": {}, "gauges": {}, "histograms": {}, "sketches": {},
-        }
-        group = {
-            "counter": "counters",
-            "gauge": "gauges",
-            "histogram": "histograms",
-            "sketch": "sketches",
-        }
+        snapshot: dict[str, Any] = {"counters": {}, "gauges": {}, "sketches": {}}
+        group = {"counter": "counters", "gauge": "gauges", "sketch": "sketches"}
         for instrument in self.instruments():
             entry = instrument.to_dict()
             if instrument.labels:

@@ -1,12 +1,10 @@
 """Streaming quantile sketch: p50/p99/p999 without storing samples.
 
-The :class:`repro.obs.Histogram` answers quantile queries from a bounded
-reservoir — exact until 1024 observations, then a uniform subsample
-whose cross-worker merge is order-biased (chunk order decides which
-samples survive).  That is fine for per-run summaries but wrong for SLO
-arithmetic at fleet scale, where tail quantiles over millions of
-latencies must be (a) memory-bounded, (b) *mergeable with an
-order-independent result*, and (c) carry a known error bound.
+The repo's one distribution type: every latency, size and per-query
+count the metrics layer records is a sketch.  Tail quantiles over
+millions of latencies must be (a) memory-bounded, (b) *mergeable with
+an order-independent result*, and (c) carry a known error bound — a
+sample reservoir meets none of the three once it overflows.
 
 :class:`QuantileSketch` is a fixed-relative-accuracy sketch in the
 DDSketch family: values map to geometrically-spaced buckets
@@ -203,8 +201,7 @@ class QuantileSketch:
 
         Addition over a sparse dict is commutative and associative, so
         any merge order — serial, chunked, tree-shaped — yields the
-        same buckets and therefore the same quantiles (the
-        order-independence guarantee the reservoir histogram lacks).
+        same buckets and therefore the same quantiles.
         """
         if float(state["relative_accuracy"]) != self.relative_accuracy:
             raise ValueError(

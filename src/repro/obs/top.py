@@ -145,7 +145,7 @@ def _slo_rows(snapshot: dict[str, Any]) -> list[str]:
 def _client_rows(snapshot: dict[str, Any]) -> list[str]:
     sketches = snapshot.get("sketches", {})
     counters = snapshot.get("counters", {})
-    frames = _find(sketches, "client_frame_seconds")
+    frames = _find(sketches, "span_frame_seconds")
     if not frames:
         return []
     entry = frames[0][1]

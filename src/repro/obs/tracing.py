@@ -29,8 +29,10 @@ Three cooperating pieces:
 
 Durations come from ``perf_counter`` (monotonic); cross-process
 ordering and export timestamps come from ``start_unix`` (epoch
-seconds).  Every span's duration is mirrored into a registry histogram
-named ``span_<name>_seconds`` so traces and metrics tell one story.
+seconds).  Every span's duration is mirrored into a registry
+:class:`repro.obs.sketch.QuantileSketch` named ``span_<name>_seconds``,
+so traces and metrics tell one story from one clock reading: the span
+is the only timer of the region it covers.
 """
 
 from __future__ import annotations
@@ -330,7 +332,7 @@ def _deliver_root(span: Span) -> None:
 
 def _mirror_duration(span: Span, registry: MetricsRegistry | None) -> None:
     if registry is not None:
-        registry.histogram(
+        registry.sketch(
             f"span_{_metric_safe(span.name)}_seconds",
             help=f"wall-clock of the {span.name!r} span",
         ).observe(span.duration_seconds)

@@ -213,8 +213,7 @@ def parallel_map(
     workers = max(1, min(int(workers), len(items)))
     if chunk_size is None:
         # One chunk per worker: amortizes chunk_setup and keeps the
-        # number of registry merges (and their reservoir truncation)
-        # independent of item count.
+        # number of registry merges independent of item count.
         chunk_size = math.ceil(len(items) / workers)
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")

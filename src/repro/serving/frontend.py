@@ -10,10 +10,10 @@ the load-shedding mode); the shard worker executes the venue engine.
 
 Observability: per-shard saturation gauges
 (``serving_shard_queue_depth`` / ``serving_shard_saturation``),
-admitted/rejected/served/failed counters, queue-wait and service-time
-histograms, and a per-shard admission-to-completion
-``serving_e2e_seconds`` quantile sketch (mergeable p50/p99/p999 — see
-:mod:`repro.obs.sketch`) — all labeled by shard, all in the frontend's
+admitted/rejected/served/failed counters, and queue-wait, service-time
+and per-shard admission-to-completion (``serving_e2e_seconds``)
+quantile sketches (mergeable p50/p99/p999 — see :mod:`repro.obs.sketch`)
+— all labeled by shard except the queue wait, all in the frontend's
 :class:`repro.obs.MetricsRegistry`.  Admission rejects and topology
 changes additionally land in the contextual
 :class:`repro.obs.EventLog`, and every query outcome feeds the
@@ -92,7 +92,7 @@ class _ShardState:
             help="queries whose engine raised",
             shard=shard_id,
         )
-        self.m_service = registry.histogram(
+        self.m_service = registry.sketch(
             "serving_request_seconds",
             help="engine execution wall-clock per query",
             shard=shard_id,
@@ -154,7 +154,7 @@ class ServingFrontend:
         self._m_shards = self._registry.gauge(
             "serving_shards", help="shards on the placement ring"
         )
-        self._m_queue_wait = self._registry.histogram(
+        self._m_queue_wait = self._registry.sketch(
             "serving_queue_wait_seconds",
             help="admission-to-execution wait per query",
         )

@@ -17,7 +17,7 @@ time.  Two worker flavors share one dispatch contract:
   ``chunk_setup`` idiom of :func:`repro.parallel.parallel_map` — under a
   persistent worker-side registry whose state ships back and merges into
   the parent registry at :meth:`close`, in shard order, so counters and
-  histograms survive the process boundary.  Venues registered with a
+  sketches survive the process boundary.  Venues registered with a
   live engine (no builder) are pickled across; their bound instruments
   then record into the worker's private copy and are not shipped back
   (the same caveat :mod:`repro.parallel` documents for ``shared``

@@ -731,7 +731,7 @@ class TestFig16Chaos:
     @staticmethod
     def _deterministic_samples(registry: MetricsRegistry) -> list:
         # Byte counters and simulated-latency metrics are exact;
-        # wall-clock stage histograms (sift/oracle/serialize seconds)
+        # wall-clock stage sketches (span_*_seconds)
         # legitimately differ between runs.
         keep = ("network_", "client_upload", "client_keypoints",
                 "client_frames", "queries_")

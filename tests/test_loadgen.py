@@ -14,6 +14,7 @@ uplink leg abandons and degrades), SLO integration, and the
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from repro.core import ServerConfig
 from repro.loadgen import (
     TrafficModel,
     burst_envelope,
+    calibrate_service_seconds,
     empirical_zipf_error,
     generate_arrivals,
     run_loadtest,
@@ -303,7 +305,34 @@ class TestRunLoadtest:
             )
 
 
+class TestCalibration:
+    def test_one_positive_service_time_per_query(self):
+        samples = calibrate_service_seconds(queries=8)
+        assert len(samples) == 8
+        assert (samples > 0).all()
+
+    def test_library_never_imports_the_cli(self):
+        import repro
+
+        root = Path(repro.__file__).parent
+        offenders = [
+            path.relative_to(root).as_posix()
+            for path in root.rglob("*.py")
+            if path.name not in ("cli.py", "__main__.py")
+            and "repro.cli" in path.read_text(encoding="utf-8")
+        ]
+        assert offenders == []
+
+
 class TestLoadtestCli:
+    def test_calibrated_run(self, tmp_path):
+        out = tmp_path / "calibrated.json"
+        assert main([
+            "loadtest", "--fast", "--users", "1000", "--calibrate",
+            "--out", str(out),
+        ]) == 0
+        assert json.loads(out.read_text())["offered"] > 0
+
     def test_smoke_and_bit_identical_rerun(self, tmp_path, capsys):
         out_a = tmp_path / "a.json"
         out_b = tmp_path / "b.json"

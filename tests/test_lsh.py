@@ -170,6 +170,18 @@ class TestLshIndex:
         for table in idx._tables:
             assert all(len(rows) <= 32 for rows in table.values())
 
+    def test_rejected_insert_leaves_index_untouched(self, descriptors_1k):
+        untouched = LshIndex(E2LSHParams(), seed=1)
+        untouched.insert(descriptors_1k[:500], np.arange(500))
+        index = LshIndex(E2LSHParams(), seed=1)
+        index.insert(descriptors_1k[:500], np.arange(500))
+        with pytest.raises(ValueError, match="2\\^20"):
+            index.insert(np.full((1, 128), 1e12, np.float32), np.array([500]))
+        assert index.size == untouched.size == 500
+        assert index.memory_bytes() == untouched.memory_bytes()
+        queries = descriptors_1k[::50]
+        assert index.query_batch(queries, 3) == untouched.query_batch(queries, 3)
+
     def test_payload_ids_returned(self, descriptors_1k):
         idx = LshIndex(E2LSHParams(num_tables=4), seed=2)
         ids = np.arange(1000) * 7  # arbitrary payload ids

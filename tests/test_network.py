@@ -71,11 +71,11 @@ class TestChannelMetrics:
         channel = self._channel()
         with use_registry(registry):
             seconds = channel.transfer_seconds(125_000)
-        histogram = registry.histogram(
+        sketch = registry.sketch(
             "network_transfer_seconds", channel="t", direction="up"
         )
-        assert histogram.count == 1
-        assert histogram.sum == pytest.approx(seconds)
+        assert sketch.count == 1
+        assert sketch.sum == pytest.approx(seconds)
         assert seconds == pytest.approx(1.02)  # 1 s serialization + half RTT
 
     def test_upload_byte_instruments(self):
@@ -84,9 +84,9 @@ class TestChannelMetrics:
         with use_registry(registry):
             channel.transfer_seconds(1000)
             channel.transfer_seconds(2500)
-        histogram = registry.histogram("network_upload_bytes", channel="t")
-        assert histogram.count == 2
-        assert histogram.sum == pytest.approx(3500)
+        sketch = registry.sketch("network_upload_bytes", channel="t")
+        assert sketch.count == 2
+        assert sketch.sum == pytest.approx(3500)
         assert registry.counter("network_upload_bytes_total", channel="t").value == 3500
 
     def test_round_trip_is_two_transfers(self):
@@ -94,10 +94,10 @@ class TestChannelMetrics:
         channel = self._channel()
         with use_registry(registry):
             channel.round_trip_seconds(10_000, response_bytes=256)
-        up = registry.histogram(
+        up = registry.sketch(
             "network_transfer_seconds", channel="t", direction="up"
         )
-        down = registry.histogram(
+        down = registry.sketch(
             "network_transfer_seconds", channel="t", direction="down"
         )
         assert up.count == 1 and down.count == 1

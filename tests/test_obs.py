@@ -1,6 +1,7 @@
 """Tests for the observability layer (repro.obs) and its pipeline wiring.
 
-Covers: histogram quantiles, Prometheus escaping and round-trip, span
+Covers: the deprecated histogram() accessor, Prometheus escaping and
+round-trip, the instrument inventory of one frame plus one query, span
 nesting, the contextual registry, removal of the ClientStats /
 median_latency deprecation-cycle shims, oracle lookup_batch vs scalar
 lookup (including a hypothesis property for counts), incremental
@@ -10,11 +11,6 @@ LshIndex.insert equivalence, and the CLI --metrics-json path.
 from __future__ import annotations
 
 import json
-import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,8 +23,8 @@ from repro.lsh import LshIndex
 from repro.network import CHANNEL_PRESETS
 from repro.obs import (
     Counter,
-    Histogram,
     MetricsRegistry,
+    QuantileSketch,
     Tracer,
     current_registry,
     parse_prometheus,
@@ -98,96 +94,49 @@ class TestCounterGauge:
         counter = registry.counter("a")
         counter.inc(10)
         assert counter.value == 0.0
-        histogram = registry.histogram("h")
-        with histogram.time():
-            pass
-        histogram.observe(1.0)
-        assert histogram.count == 0
+        sketch = registry.sketch("h")
+        sketch.observe(1.0)
+        assert sketch.count == 0
         assert len(registry) == 0
 
 
-_HISTOGRAM_QUANTILES_SCRIPT = """
-import json
-from repro.obs.metrics import Histogram
-histogram = Histogram("span_query_seconds")
-for i in range(5000):
-    histogram.observe(((i * 7919) % 5000) / 1000.0)
-print(json.dumps(list(histogram.quantiles((0.5, 0.9, 0.99)).values())))
-"""
-
-
 class TestHistogram:
-    def test_reservoir_quantiles_identical_across_hash_seeds(self):
-        # 5,000 observations overflow the 1,024-sample reservoir, so the
-        # quantiles depend on its replacement stream; that stream must
-        # not depend on the per-process str hash salt.
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        outputs = []
-        for hash_seed in ("1", "2"):
-            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
-            completed = subprocess.run(
-                [sys.executable, "-c", _HISTOGRAM_QUANTILES_SCRIPT],
-                env=env,
-                capture_output=True,
-                text=True,
-                check=True,
-                timeout=60,
-            )
-            outputs.append(json.loads(completed.stdout))
-        assert outputs[0] == outputs[1]
+    """``MetricsRegistry.histogram()``: the deprecated accessor, now a sketch."""
+
+    def _histogram(self, registry: MetricsRegistry | None = None):
+        registry = MetricsRegistry() if registry is None else registry
+        with pytest.warns(DeprecationWarning, match="use sketch"):
+            return registry.histogram("h", buckets=(1.0, 2.0))
+
+    def test_histogram_warns_and_returns_same_named_sketch(self):
+        registry = MetricsRegistry()
+        histogram = self._histogram(registry)
+        assert isinstance(histogram, QuantileSketch)
+        assert histogram is registry.sketch("h")
+        assert "histograms" not in registry.to_dict()
 
     def test_quantiles_on_known_distribution(self):
-        histogram = Histogram("h")
+        histogram = self._histogram()
         for value in range(1, 101):  # 1..100
             histogram.observe(float(value))
-        assert histogram.quantile(0.0) == 1.0
-        assert histogram.quantile(1.0) == 100.0
-        assert histogram.quantile(0.5) == pytest.approx(50.5)
-        assert histogram.quantile(0.9) == pytest.approx(90.1)
+        assert histogram.quantile(0.0) == pytest.approx(1.0, rel=0.01)
+        assert histogram.quantile(1.0) == pytest.approx(100.0, rel=0.01)
+        assert histogram.quantile(0.5) == pytest.approx(50.0, rel=0.01)
+        assert histogram.quantile(0.9) == pytest.approx(90.0, rel=0.01)
         assert histogram.count == 100
         assert histogram.sum == pytest.approx(5050.0)
         assert histogram.mean == pytest.approx(50.5)
 
     def test_quantile_bounds_checked(self):
-        histogram = Histogram("h")
+        histogram = self._histogram()
         histogram.observe(1.0)
         with pytest.raises(ValueError):
             histogram.quantile(1.5)
 
     def test_empty_histogram_quantiles_zero(self):
-        histogram = Histogram("h")
+        histogram = self._histogram()
         assert histogram.quantile(0.5) == 0.0
-        assert histogram.quantiles() == {0.5: 0.0, 0.9: 0.0, 0.99: 0.0}
-
-    def test_bucket_counts_cumulative_and_inclusive(self):
-        histogram = Histogram("h", buckets=(1.0, 2.0, 4.0))
-        for value in (0.5, 1.0, 1.5, 3.0, 100.0):
-            histogram.observe(value)
-        pairs = dict(histogram.bucket_counts())
-        assert pairs[1.0] == 2  # le is inclusive: 0.5 and 1.0
-        assert pairs[2.0] == 3
-        assert pairs[4.0] == 4
-        assert pairs[float("inf")] == 5
-
-    def test_buckets_must_increase(self):
-        with pytest.raises(ValueError):
-            Histogram("h", buckets=(2.0, 1.0))
-
-    def test_reservoir_stays_bounded(self):
-        histogram = Histogram("h")
-        for value in range(5000):
-            histogram.observe(float(value))
-        assert len(histogram.values()) == 1024
-        assert histogram.count == 5000
-        # The subsample still summarizes the distribution reasonably.
-        assert 1500 < histogram.quantile(0.5) < 3500
-
-    def test_time_context_manager(self):
-        histogram = Histogram("h")
-        with histogram.time():
-            _ = sum(range(1000))
-        assert histogram.count == 1
-        assert histogram.values()[0] >= 0.0
+        assert histogram.quantiles() == {0.5: 0.0, 0.99: 0.0, 0.999: 0.0}
 
 
 class TestPrometheus:
@@ -211,47 +160,48 @@ class TestPrometheus:
         registry = MetricsRegistry()
         registry.counter("c_total", help="a counter").inc(7)
         registry.gauge("g", help="a gauge").set(-2.5)
-        histogram = registry.histogram("h_seconds", buckets=(0.1, 1.0), stage="sift")
+        sketch = registry.sketch("h_seconds", stage="sift")
         for value in (0.05, 0.5, 5.0):
-            histogram.observe(value)
+            sketch.observe(value)
         text = registry.to_prometheus()
-        assert "# TYPE h_seconds histogram" in text
-        assert 'h_seconds_bucket{stage="sift",le="+Inf"} 3' in text
+        assert "# TYPE h_seconds summary" in text
+        assert 'h_seconds_count{stage="sift"} 3' in text
         parsed = parse_prometheus(text)
         assert parsed == registry.samples()
 
     def test_infinite_bucket_value_renders(self):
         registry = MetricsRegistry()
-        registry.histogram("h").observe(1e30)  # beyond every finite bucket
+        registry.sketch("h").observe(1e30)  # far beyond any latency scale
         samples = dict(
             ((name, labels), value)
             for name, labels, value in parse_prometheus(registry.to_prometheus())
         )
-        assert samples[("h_bucket", (("le", "+Inf"),))] == 1.0
+        assert samples[("h", (("quantile", "0.5"),))] == pytest.approx(1e30, rel=0.01)
+        assert samples[("h_count", ())] == 1.0
 
 
 class TestJsonSnapshot:
     def test_to_dict_and_write_json(self, tmp_path):
         registry = MetricsRegistry()
         registry.counter("frames_total").inc(2)
-        registry.histogram("lat_seconds").observe(0.01)
+        registry.sketch("lat_seconds").observe(0.01)
         path = tmp_path / "metrics.json"
         registry.write_json(str(path))
         snapshot = json.loads(path.read_text())
         assert snapshot["counters"]["frames_total"]["value"] == 2
-        histogram = snapshot["histograms"]["lat_seconds"]
-        assert histogram["count"] == 1
-        assert histogram["p50"] == pytest.approx(0.01)
-        assert histogram["buckets"][-1]["count"] == 1
-        assert math.isinf(histogram["buckets"][-1]["le"])
+        assert set(snapshot) == {"counters", "gauges", "sketches"}
+        sketch = snapshot["sketches"]["lat_seconds"]
+        assert sketch["count"] == 1
+        assert sketch["p50"] == pytest.approx(0.01, rel=0.01)
+        assert sketch["max"] == pytest.approx(0.01)
 
     def test_reset_zeroes_but_keeps_instruments(self):
         registry = MetricsRegistry()
         registry.counter("c").inc(5)
-        registry.histogram("h").observe(1.0)
+        registry.sketch("h").observe(1.0)
         registry.reset()
         assert registry.counter("c").value == 0
-        assert registry.histogram("h").count == 0
+        assert registry.sketch("h").count == 0
         assert len(registry) == 2
 
 
@@ -287,8 +237,8 @@ class TestSpans:
         with tracer.span("frame"):
             with tracer.span("sift"):
                 pass
-        assert registry.histogram("span_frame_seconds").count == 1
-        assert registry.histogram("span_sift_seconds").count == 1
+        assert registry.sketch("span_frame_seconds").count == 1
+        assert registry.sketch("span_sift_seconds").count == 1
 
     def test_sibling_roots_are_retained_in_order(self):
         tracer = Tracer()
@@ -329,10 +279,10 @@ class TestContextualRegistry:
         registry = MetricsRegistry()
         with use_registry(registry):
             channel.transfer_seconds(1000)
-        histogram = registry.get(
+        sketch = registry.get(
             "network_transfer_seconds", channel="wifi", direction="up"
         )
-        assert histogram is not None and histogram.count == 1
+        assert sketch is not None and sketch.count == 1
         counter = registry.get("network_upload_bytes_total", channel="wifi")
         assert counter.value == 1000
 
@@ -354,8 +304,8 @@ class TestClientMetricsApi:
         registry = client.metrics
         assert registry.counter("client_keypoints_uploaded_total").value == 20
         assert registry.counter("client_upload_bytes_total").value > 0
-        assert registry.histogram("client_upload_bytes").count == 1
-        assert registry.histogram("client_serialize_seconds").count == 1
+        assert registry.sketch("client_upload_bytes").count == 1
+        assert registry.sketch("span_serialize_seconds").count == 1
 
     def test_frame_spans_nest_stages(self, trained_oracle, config, descriptors_1k):
         client = VisualPrintClient(trained_oracle, config)
@@ -366,6 +316,32 @@ class TestClientMetricsApi:
         assert root.attributes["frame_index"] == 5
         assert root.child("sift") is not None
         assert root.child("serialize") is not None
+
+
+class TestInstrumentInventory:
+    """One timer per region: spans time the stages, nothing times them twice."""
+
+    def test_one_frame_and_one_query(self):
+        from repro.imaging.synth import SceneLibrary
+        from repro.serving.synthetic import synthetic_venue_server
+
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            server = synthetic_venue_server(np.random.default_rng(3))
+            client = VisualPrintClient(server.publish_oracle())
+        library = SceneLibrary(seed=3, num_scenes=2, num_distractors=2, size=(96, 96))
+        fingerprint = client.process_frame(library.scene(0))
+        assert len(fingerprint) > 0
+        server.localize(fingerprint)
+        for stage in ("frame", "sift", "oracle", "serialize", "localize"):
+            sketch = registry.get(f"span_{stage}_seconds")
+            assert isinstance(sketch, QuantileSketch), stage
+            assert sketch.count == 1, stage
+        names = {instrument.name for instrument in registry.instruments()}
+        assert not [n for n in names if n.startswith("client_") and n.endswith("_seconds")]
+        assert "server_localize_seconds" not in names
+        assert "oracle_lookup_seconds" not in names
+        assert "histograms" not in registry.to_dict()
 
 
 class TestDeprecationCycleComplete:
@@ -413,7 +389,7 @@ class TestOracleLookupBatch:
         oracle.lookup_batch(descriptors_1k[:25])
         registry = oracle.metrics
         assert registry.counter("oracle_lookups_total").value == 25
-        assert registry.histogram("oracle_lookup_seconds").count == 1
+        assert registry.sketch("span_oracle_lookup_batch_seconds").count == 1
         assert registry.counter("oracle_descriptors_inserted_total").value == 200
         assert 0.0 <= registry.gauge("oracle_counter_saturation").value <= 1.0
 
@@ -498,16 +474,16 @@ class TestCliMetrics:
         out = capsys.readouterr().out
         assert "=== metrics" in out
         snapshot = json.loads(json_path.read_text())
-        histograms = snapshot["histograms"]
-        assert histograms["client_sift_seconds"]["count"] > 0
-        assert histograms["client_oracle_seconds"]["count"] > 0
-        transfer_keys = [k for k in histograms if k.startswith("network_transfer_seconds")]
-        assert transfer_keys and histograms[transfer_keys[0]]["count"] > 0
+        sketches = snapshot["sketches"]
+        assert sketches["span_sift_seconds"]["count"] > 0
+        assert sketches["span_oracle_seconds"]["count"] > 0
+        transfer_keys = [k for k in sketches if k.startswith("network_transfer_seconds")]
+        assert transfer_keys and sketches[transfer_keys[0]]["count"] > 0
         assert snapshot["counters"]["client_upload_bytes_total"]["value"] > 0
         # The Prometheus rendering round-trips the same registry.
         parsed = parse_prometheus(prom_path.read_text())
         by_name = {name for name, _, _ in parsed}
-        assert "client_sift_seconds_bucket" in by_name
+        assert "span_sift_seconds_count" in by_name
         assert "client_upload_bytes_total" in by_name
 
 class TestMetricsDiffEdgeCases:

@@ -41,7 +41,7 @@ def _square_plus_shared(value: int) -> int:
 def _record_and_double(value: int) -> int:
     registry = resolve_registry(None)
     registry.counter("items_total").inc()
-    registry.histogram("item_value", buckets=(1.0, 10.0, 100.0)).observe(value)
+    registry.sketch("item_value").observe(value)
     return 2 * value
 
 
@@ -105,9 +105,9 @@ class TestRegistryMerge:
     def test_counters_and_histograms_merge(self):
         registry = self._run(workers=3)
         assert registry.counter("items_total").value == 12
-        histogram = registry.histogram("item_value", buckets=(1.0, 10.0, 100.0))
-        assert histogram.count == 12
-        assert histogram.sum == sum(range(12))
+        sketch = registry.sketch("item_value")
+        assert sketch.count == 12
+        assert sketch.sum == sum(range(12))
 
     def test_merge_is_identical_across_worker_counts(self):
         serial = self._run(workers=1).state()

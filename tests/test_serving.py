@@ -247,7 +247,7 @@ class TestServingFrontend:
             ).value == 0
         assert registry.gauge("serving_venues").value == 3
         assert registry.gauge("serving_shards").value == 2
-        assert registry.histogram("serving_queue_wait_seconds").count == 4
+        assert registry.sketch("serving_queue_wait_seconds").count == 4
 
     def test_unknown_venue_fails_before_admission(self):
         registry = MetricsRegistry()

@@ -1,15 +1,21 @@
 """Tests for the streaming quantile sketch (repro.obs.sketch).
 
 Covers: relative-accuracy bounds against exact numpy quantiles, the
-zero bucket, merge correctness and order independence (the property the
-reservoir histogram lacks), registry integration (accessor, state
-round-trip, JSON/Prometheus rendering), bit-identical serial vs
+zero bucket, merge correctness and order independence, registry
+integration (accessor, state round-trip, JSON/Prometheus rendering, a
+snapshot identical across ``PYTHONHASHSEED`` values), bit-identical serial vs
 ``workers=N`` merge-back through :func:`repro.parallel.parallel_map`,
 and the hypothesis property holding merged quantiles to the rank-error
 bound of sorted-sample ground truth.
 """
 
 from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,7 +204,40 @@ class TestSketchMerge:
             assert merged.quantile(q) == pytest.approx(exact, rel=0.011)
 
 
+_SNAPSHOT_SCRIPT = """
+import json
+from repro.obs import MetricsRegistry
+worker = MetricsRegistry()
+for i in range(5000):
+    worker.sketch("span_query_seconds", venue=f"v{i % 7}").observe(((i * 7919) % 5000) / 1000.0)
+registry = MetricsRegistry()
+registry.sketch("span_query_seconds", venue="v0").observe(0.5)
+registry.merge_state(worker.state())
+print(json.dumps([registry.to_dict(), registry.to_prometheus()]))
+"""
+
+
 class TestRegistrySketch:
+    def test_snapshot_identical_across_hash_seeds(self):
+        # Labelled sketches merged from a worker state, rendered as JSON
+        # and Prometheus text: nothing may depend on the per-process str
+        # hash salt.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+            completed = subprocess.run(
+                [sys.executable, "-c", _SNAPSHOT_SCRIPT],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=60,
+            )
+            outputs.append(json.loads(completed.stdout))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0]["sketches"]["span_query_seconds{venue=v0}"]["count"] == 716
+
     def test_accessor_get_or_create(self):
         registry = MetricsRegistry()
         a = registry.sketch("e2e_seconds", shard="s0")

@@ -411,6 +411,13 @@ class TestTopRenderer:
         assert "shard.add" in text
         assert "venue=office" in text
 
+    def test_render_dashboard_client_row_reads_frame_span(self):
+        registry = MetricsRegistry()
+        with Tracer(registry).span("frame"):
+            pass
+        text = render_dashboard(registry.to_dict())
+        assert "frames=1" in text
+
     def test_render_dashboard_empty_snapshot(self):
         text = render_dashboard({})
         assert "venues=0" in text

@@ -151,7 +151,7 @@ class TestPropagation:
         with use_registry(registry):
             with trace_span("oracle.lookup_batch"):
                 pass
-        assert registry.histogram("span_oracle_lookup_batch_seconds").count == 1
+        assert registry.sketch("span_oracle_lookup_batch_seconds").count == 1
 
 
 class TestTracerRetention:
@@ -327,6 +327,16 @@ class TestPoolTraceShipBack:
         }
 
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_fig16_stage_samples_one_per_frame(self, workers):
+        result = fig16_latency.run(
+            seed=5, num_frames=4, image_size=128, fingerprint_size=20, workers=workers
+        )
+        assert len(result["sift_seconds"]) == 4
+        assert len(result["oracle_seconds"]) == 4
+        assert (result["sift_seconds"] > 0).all()
+
+
 class TestFlightRecorder:
     def test_keeps_slowest_k(self):
         registry = MetricsRegistry()
@@ -422,7 +432,7 @@ def _snapshot(**counters) -> dict:
             name: {"value": value, "labels": {}} for name, value in counters.items()
         },
         "gauges": {},
-        "histograms": {},
+        "sketches": {},
     }
 
 
@@ -430,10 +440,10 @@ class TestMetricsDiff:
     def test_identical_snapshots_pass(self):
         registry = MetricsRegistry()
         registry.counter("a").inc(5)
-        registry.histogram("h").observe(1.0)
+        registry.sketch("h").observe(1.0)
         snapshot = registry.to_dict()
         checked, violations = diff_metrics(snapshot, snapshot)
-        assert checked == 2  # counter value + histogram count
+        assert checked == 2  # counter value + sketch count
         assert violations == []
 
     def test_regression_detected(self):
@@ -548,5 +558,5 @@ class TestCliTraceFlags:
         assert len(lines) == len(events)
 
         snapshot = json.loads(metrics_path.read_text())
-        assert "span_frame_seconds" in snapshot["histograms"]
+        assert "span_frame_seconds" in snapshot["sketches"]
         assert "network_transfer_seconds" in str(snapshot)
