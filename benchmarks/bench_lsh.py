@@ -1,26 +1,33 @@
-"""Server LSH lookup: ``LshIndex.query_batch`` on the perfbench scene library.
+"""Server LSH table: build, projection and ``query_batch`` on the perfbench scene library.
 
 The table is the camera workload's scene database (seed 7, 10 scenes +
 30 distractors at 256x256, SIFT contrast threshold 0.008); the queries
 are VisualPrint-100 fingerprints of query views, taken through the
 client and the wire format (so their descriptors are integer-valued).
-Two rows:
+Rows:
 
 * ``camera_k2`` — the integer-valued table, ``k = 2`` (the ratio test
   in :class:`repro.matching.LshMatcher`);
 * ``venue_jitter_k3`` — the same table with a fixed float jitter on every
   row, ``k = 3`` (a venue server's neighbours per keypoint), since
-  wardriven venue tables hold float descriptors.
+  wardriven venue tables hold float descriptors;
+* ``build`` — ``LshIndex.build`` over the whole table, the reported
+  ``memory_bytes`` and the bytes tracemalloc sees the build allocate
+  and keep;
+* ``project`` — ``StableProjections.project`` of the whole table and of
+  one 100-row fingerprint.
 
-Each row records the median and p90 of per-fingerprint wall time (best
+Query rows record the median and p90 of per-fingerprint wall time (best
 of three passes per fingerprint), the distinct candidates per query row
-and the shortlist per query row that survives the float32 filter.  Rows
-land in BENCH_lsh.json via ``conftest.pytest_sessionfinish``.
+and the shortlist per query row that survives the float32 filter; the
+build and project rows record best-of-N wall times.  Rows land in
+BENCH_lsh.json via ``conftest.pytest_sessionfinish``.
 """
 
 from __future__ import annotations
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +38,7 @@ from repro.core.fingerprint import Fingerprint
 from repro.core.oracle import UniquenessOracle
 from repro.features.sift import SiftExtractor, SiftParams
 from repro.imaging.synth import SceneLibrary
+from repro.lsh import LshIndex
 from repro.matching import LshMatcher
 from repro.matching.schemes import SceneDatabase
 from repro.util.rng import rng_for
@@ -59,6 +67,30 @@ _BEFORE_FILTER_REFINE = {
         "timed right after the run of this bench recorded beside it; on "
         "the same shared 2-vCPU host, repeat runs of both sides put the "
         "before/after ratio of the p50s between 2.4x and 3.4x"
+    ),
+}
+
+#: Every row timed against the commit before the CSR tables and the
+#: block-GEMM projection (dict-of-arrays tables filled bucket by bucket,
+#: an ``einsum`` projection, a per-query probe loop), with this file's
+#: timing loops on the same table and fingerprints and one BLAS thread.
+#: Recorded by hand on the host named here; the bench does not
+#: regenerate it.
+_BEFORE_CSR = {
+    "host_cpus": 2,
+    "camera_k2_query_batch_ms_p50": 11.98,
+    "venue_jitter_k3_query_batch_ms_p50": 11.87,
+    "build_ms": 128.06,
+    "build_memory_bytes": 15274536,
+    "build_traced_bytes": 22562520,
+    "project_table_ms": 46.67,
+    "project_fingerprint_ms": 0.16,
+    "note": (
+        "OPENBLAS_NUM_THREADS=1 on both sides, runs alternated on a shared "
+        "2-vCPU host: build 128-136 ms before against 45-64 ms after, "
+        "table projection 47-60 ms against 12-17 ms; the query p50s "
+        "overlap (11.9-12.5 ms before, 10.0-12.5 ms after) in this "
+        "hot-cache loop"
     ),
 }
 
@@ -112,11 +144,23 @@ def _work_per_row(index, queries: list[np.ndarray], k: int) -> tuple[float, floa
     candidates = shortlist = rows = 0
     for descriptors in queries:
         descriptors = np.asarray(descriptors, dtype=np.float32)
-        for query, found in zip(descriptors, index._candidates(descriptors)):
-            candidates += found.size
-            shortlist += index._shortlist(query, found, k).size
+        pair_queries, pair_rows = index._candidates(descriptors)
+        candidates += pair_rows.size
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, kept = index._shortlist(descriptors, pair_queries, pair_rows, k)
+        shortlist += kept.size
         rows += descriptors.shape[0]
     return candidates / rows, shortlist / rows
+
+
+def _best_ms(call, repeats: int) -> float:
+    """Best wall time of ``repeats`` calls, in ms."""
+    best = np.inf
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - start)
+    return round(best * 1e3, 2)
 
 
 def _row(index, queries: list[np.ndarray], k: int) -> dict:
@@ -141,6 +185,42 @@ def test_lsh_query_camera(scene_table, lsh_trajectory):
     lsh_trajectory["camera_k2"] = row
     lsh_trajectory["before_filter_refine"] = _BEFORE_FILTER_REFINE
     print(f"\ncamera k=2: {row}")
+
+
+def test_lsh_build(scene_table, lsh_trajectory):
+    descriptors, _ = scene_table
+    ids = np.arange(descriptors.shape[0])
+    index = LshIndex()
+    build_ms = _best_ms(lambda: index.build(descriptors, ids), _REPEATS)
+    fresh = LshIndex()
+    tracemalloc.start()
+    try:
+        fresh.build(descriptors, ids)
+        traced, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    row = {
+        "table_rows": index.size,
+        "build_ms": build_ms,
+        "memory_bytes": index.memory_bytes(),
+        "traced_bytes": traced,
+    }
+    lsh_trajectory["build"] = row
+    lsh_trajectory["before_csr"] = _BEFORE_CSR
+    print(f"\nbuild: {row}")
+
+
+def test_lsh_project(scene_table, lsh_trajectory):
+    descriptors, queries = scene_table
+    projections = LshIndex().projections
+    row = {
+        "table_rows": descriptors.shape[0],
+        "project_table_ms": _best_ms(lambda: projections.project(descriptors), 5),
+        "fingerprint_rows": queries[0].shape[0],
+        "project_fingerprint_ms": _best_ms(lambda: projections.project(queries[0]), 50),
+    }
+    lsh_trajectory["project"] = row
+    print(f"\nproject: {row}")
 
 
 def test_lsh_query_venue_jitter(scene_table, lsh_trajectory):

@@ -136,8 +136,16 @@ class VisualPrintServer:
         """
         descriptors = np.asarray(descriptors, dtype=np.float32)
         positions_3d = np.asarray(positions_3d, dtype=np.float64)
-        if descriptors.shape[0] != positions_3d.shape[0]:
-            raise ValueError("descriptors and positions must align")
+        if descriptors.ndim != 2 or positions_3d.shape != (descriptors.shape[0], 3):
+            raise ValueError(
+                "descriptors and positions must align as (n, D) and (n, 3), got "
+                f"{descriptors.shape} and {positions_3d.shape}"
+            )
+        # The table, the oracle and the index take the batch together or
+        # not at all: every row must quantize under both projections
+        # before any of them changes.
+        self.oracle.projections.check_range(descriptors)
+        self.lookup.projections.check_range(descriptors)
         start = time.perf_counter()
         start_row = self.num_mappings
         self._descriptors.append(descriptors)

@@ -119,18 +119,24 @@ def murmur3_32_vectors_multiseed(blocks: np.ndarray, seeds: np.ndarray) -> np.nd
 
     A Bloom hash family needs K seeds over the *same* vectors, so this
     turns K full passes (each re-mixing every input word) into one.
+    ``seeds`` may also be ``(S, n)``: one seed per seed row and block, so
+    blocks hashed under different seeds still share one pass.
     """
     blocks = np.ascontiguousarray(blocks, dtype=np.uint32)
     if blocks.ndim != 2:
         raise ValueError(f"blocks must be 2-D (n, words), got shape {blocks.shape}")
     seeds = np.asarray(seeds, dtype=np.int64)
-    if seeds.ndim != 1:
-        raise ValueError(f"seeds must be 1-D, got shape {seeds.shape}")
     n_rows, n_words = blocks.shape
+    if seeds.ndim == 1:
+        seeds = seeds[:, None]
+    elif seeds.ndim != 2 or seeds.shape[1] != n_rows:
+        raise ValueError(
+            f"seeds must be (S,) or (S, {n_rows}), got shape {seeds.shape}"
+        )
 
     with np.errstate(over="ignore"):
         state = np.empty((seeds.shape[0], n_rows), dtype=np.uint32)
-        state[:] = (seeds & _MASK32).astype(np.uint32)[:, None]
+        state[:] = (seeds & _MASK32).astype(np.uint32)
         for word_index in range(n_words):
             block = blocks[:, word_index].copy()
             block *= np.uint32(_C1)

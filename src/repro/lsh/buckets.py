@@ -12,21 +12,28 @@ import numpy as np
 
 from repro.hashing.murmur3 import murmur3_32_vectors_multiseed
 
-__all__ = ["QuantizedBuckets", "bucket_keys"]
+__all__ = ["BUCKET_LIMIT", "QuantizedBuckets", "bucket_keys"]
 
-_BUCKET_BIAS = np.int64(1 << 20)
+#: Bucket indices must lie strictly inside ``±BUCKET_LIMIT`` to encode.
+BUCKET_LIMIT = 1 << 20
+_BUCKET_BIAS = np.int64(BUCKET_LIMIT)
 
 
-def bucket_keys(vectors: np.ndarray, table: int, seed_base: int = 0) -> np.ndarray:
+def bucket_keys(
+    vectors: np.ndarray, table: int | np.ndarray, seed_base: int = 0
+) -> np.ndarray:
     """64-bit bucket keys of ``(n, M)`` uint32 vectors for one LSH table.
 
     One Murmur-3 pair (seeds ``seed_base + 2 * table`` and ``+ 1``) gives
-    the low and high words.  Used as dictionary keys in
-    :class:`repro.lsh.LshIndex`, both when inserting rows and when
-    probing for them.  Key collisions are possible but harmless: index
-    candidates are always re-verified with exact Euclidean distances.
+    the low and high words.  ``table`` may be an ``(n,)`` array naming
+    each vector's table, to key several tables' vectors in one pass.
+    The keys of :class:`repro.lsh.LshIndex`'s bucket tables, both when
+    inserting rows and when probing for them.  Key collisions are
+    possible but harmless: index candidates are always re-verified with
+    exact Euclidean distances.
     """
-    seeds = np.array([seed_base + 2 * table, seed_base + 2 * table + 1])
+    table = np.asarray(table, dtype=np.int64)
+    seeds = np.stack([seed_base + 2 * table, seed_base + 2 * table + 1])
     low, high = murmur3_32_vectors_multiseed(vectors, seeds).astype(np.uint64)
     return (high << np.uint64(32)) | low
 

@@ -8,12 +8,19 @@ neighbours (the oracle's schedule, :mod:`repro.lsh.multiprobe`), then
 re-ranks them by exact Euclidean distance — so hash-key collisions never
 produce wrong matches, only extra work.
 
-The re-rank is filter-and-refine.  A float32 matrix-vector product
-estimates every candidate's squared distance, ``‖d‖² − 2·d·q + ‖q‖²``,
+Every table is three flat arrays in CSR form: sorted unique 64-bit
+bucket keys, offsets, and the stored rows of each bucket in insertion
+order.  Inserts merge a sorted batch in; queries resolve all probe keys
+with ``searchsorted`` and work on flat ``(query, row)`` pairs, so no
+Python runs per bucket or per query row.
+
+The re-rank is filter-and-refine.  A float32 dot product per pair
+estimates each candidate's squared distance, ``‖d‖² − 2·d·q + ‖q‖²``,
 from a stored float64 ``‖d‖²`` per row, within a proven rounding bound;
-only rows that can still be among the k nearest (about k per query)
-get the exact float64 distance.  Distances are bit-identical to ranking
-every candidate exactly, and exact ties go to the lowest stored row.
+only pairs that can still be among their query's k nearest (about k
+per query) get the exact float64 distance.  Distances are bit-identical
+to ranking every candidate exactly, and exact ties go to the lowest
+stored row.
 
 The index deliberately stores descriptors once but bucket references L
 times; :meth:`LshIndex.memory_bytes` reports that replication, which is
@@ -24,6 +31,8 @@ larger than the input data" in Fig. 15.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +49,112 @@ _F32_UNIT = 2.0**-24
 # Relative margin for float64 rounding in the norms, the filter
 # arithmetic and the exact refine (each about 1e-14 relative).
 _F64_SLACK = 1e-9
+# Candidate pairs per float32 dot-product chunk: the gathered rows and
+# queries (512 KB each) stay in cache however many pairs there are.
+_DOT_CHUNK = 1024
+
+
+class _Table(NamedTuple):
+    """One LSH table in CSR form."""
+
+    keys: np.ndarray  # (B,) uint64 bucket keys, sorted, unique
+    offsets: np.ndarray  # (B + 1,) int64: bucket b is rows[offsets[b]:offsets[b + 1]]
+    rows: np.ndarray  # (R,) int32 stored rows, by bucket, then insertion order
+
+
+def _empty_table() -> _Table:
+    return _Table(
+        np.empty(0, np.uint64), np.zeros(1, np.int64), np.empty(0, np.int32)
+    )
+
+
+def _merge(table: _Table, keys: np.ndarray, first_row: int, cap: int) -> _Table:
+    """``table`` with rows ``first_row + i`` added under ``keys[i]``.
+
+    One stable sort groups the batch by key in insertion order; ranks
+    within each group cap every bucket at ``cap`` rows, counting the
+    rows it already holds, so the first-inserted rows stay.  Batch keys
+    are placed among the stored ones by ``searchsorted`` and everything
+    lands in new arrays in one pass: stored entries are copied, never
+    re-sorted.
+    """
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    starts_group = np.empty(keys.size, dtype=bool)
+    starts_group[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts_group[1:])
+    group = np.cumsum(starts_group) - 1
+    batch_keys = sorted_keys[starts_group]
+    rank = np.arange(keys.size) - np.flatnonzero(starts_group)[group]
+
+    stored = table.keys.size
+    stored_counts = np.diff(table.offsets)
+    pos = np.searchsorted(table.keys, batch_keys)
+    known = pos < stored
+    known[known] = table.keys[pos[known]] == batch_keys[known]
+    held = np.zeros(batch_keys.size, dtype=np.int64)
+    held[known] = stored_counts[pos[known]]
+    keep = rank < (cap - held)[group]
+
+    # Merged bucket slots: a stored key moves up by the new keys placed
+    # before it; the q-th new key lands at its insertion point plus q.
+    fresh = ~known
+    num_fresh = np.count_nonzero(fresh)
+    shift = np.cumsum(np.bincount(pos[fresh], minlength=stored + 1))
+    stored_slot = np.arange(stored) + shift[:-1]
+    batch_slot = np.empty(batch_keys.size, dtype=np.int64)
+    batch_slot[known] = pos[known] + shift[pos[known]]
+    batch_slot[fresh] = pos[fresh] + np.arange(num_fresh)
+
+    merged_keys = np.empty(stored + num_fresh, dtype=np.uint64)
+    merged_keys[stored_slot] = table.keys
+    merged_keys[batch_slot[fresh]] = batch_keys[fresh]
+    counts = np.zeros(merged_keys.size, dtype=np.int64)
+    counts[stored_slot] = stored_counts
+    counts[batch_slot] += np.bincount(group[keep], minlength=batch_keys.size)
+    offsets = np.zeros(merged_keys.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+
+    kept_group = group[keep]
+    destination = offsets[batch_slot[kept_group]] + held[kept_group] + rank[keep]
+    rows = np.empty(int(offsets[-1]), dtype=np.int32)
+    added = np.zeros(rows.size, dtype=bool)
+    added[destination] = True
+    rows[destination] = order[keep] + first_row
+    rows[~added] = table.rows
+    return _Table(merged_keys, offsets, rows)
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(s, s + c)`` over the pairs, without a loop."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - ends + counts, counts) + np.arange(int(counts.sum()))
+
+
+def _kth_smallest(
+    groups: np.ndarray, values: np.ndarray, num_groups: int, k: int
+) -> np.ndarray:
+    """Upper bound on each group's k-th smallest value, ``inf`` if it has <= k.
+
+    ``groups`` is sorted.  Each ``|value|`` (NaN as ``inf``) is cast to
+    float32 and its bit pattern, which orders like a non-negative float,
+    packs under the group number into one int64, so one sort ranks every
+    group at once.  Adding one to the pattern steps to the next float32
+    up, so rounding never takes the bound below the value; an ``inf``
+    steps to a NaN, which, as a bound, keeps everything.
+    """
+    magnitude = np.nan_to_num(np.abs(values), nan=np.inf, posinf=np.inf)
+    with np.errstate(over="ignore"):  # beyond float32 range is inf
+        bits = magnitude.astype(np.float32).view(np.uint32)
+    packed = (groups << 32) | bits
+    packed += 1
+    packed.sort()
+    first = np.searchsorted(groups, np.arange(num_groups + 1))
+    full = np.flatnonzero(np.diff(first) > k)
+    kth = np.full(num_groups, np.inf)
+    picked = (packed[first[full] + k - 1] & 0xFFFFFFFF).astype(np.uint32)
+    kth[full] = picked.view(np.float32)
+    return kth
 
 
 @dataclass(frozen=True)
@@ -72,9 +187,7 @@ class LshIndex:
         # cost, as production E2LSH deployments do.  Dropped entries are
         # precisely the ones the ratio test would reject anyway.
         self.max_bucket_size = int(max_bucket_size)
-        self._tables: list[dict[int, np.ndarray]] = [
-            {} for _ in range(self.params.num_tables)
-        ]
+        self._tables = [_empty_table() for _ in range(self.params.num_tables)]
         # Amortized-growth row storage: descriptors/ids live in
         # capacity-doubling arrays so :meth:`insert` appends in O(batch)
         # instead of re-copying (and re-hashing) all history per batch.
@@ -91,7 +204,7 @@ class LshIndex:
 
     def build(self, descriptors: np.ndarray, item_ids: np.ndarray) -> None:
         """(Re)build the index over ``descriptors`` with per-row payload ids."""
-        self._tables = [{} for _ in range(self.params.num_tables)]
+        self._tables = [_empty_table() for _ in range(self.params.num_tables)]
         self._store = None
         self._ids_store = None
         self._norms_store = None
@@ -128,11 +241,11 @@ class LshIndex:
         """Append descriptors incrementally — only the new batch is hashed.
 
         This is the "incorporated continuously, in constant time and
-        memory" ingest path of the paper: per batch the cost is
-        O(batch · L) hashing plus amortized-O(batch) row storage, versus
-        the quadratic cost of rebuilding over all history each time.
-        Bucket capping keeps first-inserted rows, matching what a
-        one-shot :meth:`build` over the concatenated data produces.
+        memory" ingest path of the paper: the batch costs O(batch · L)
+        hashing plus a sort of the batch per table, and its merge copies
+        each table's arrays once (O(stored), no re-sort, no re-hash).
+        Bucket capping keeps first-inserted rows, so any split into
+        batches gives the tables of one :meth:`build` over all rows.
         A rejected batch leaves the index as it was: its rows land in
         spare capacity past ``size`` and count as stored only once the
         batch's buckets pass the range check.
@@ -158,27 +271,10 @@ class LshIndex:
             "ij,ij->i", descriptors, descriptors, dtype=np.float64
         )
         quantized = QuantizedBuckets(self.projections.quantize(descriptors))
+        for index, table in enumerate(self._tables):
+            keys = quantized.table_keys(index)
+            self._tables[index] = _merge(table, keys, start_row, self.max_bucket_size)
         self._size += num_new
-
-        cap = self.max_bucket_size
-        for table in range(self.params.num_tables):
-            keys = quantized.table_keys(table)
-            order = np.argsort(keys, kind="stable")
-            sorted_keys = keys[order]
-            boundaries = np.flatnonzero(np.diff(sorted_keys)) + 1
-            groups = np.split(order, boundaries)
-            starts = np.concatenate(([0], boundaries))
-            table_map = self._tables[table]
-            for start, group in zip(starts, groups):
-                key = int(sorted_keys[start])
-                rows = (group + start_row).astype(np.int32)
-                existing = table_map.get(key)
-                if existing is None:
-                    table_map[key] = rows[:cap]
-                elif existing.size < cap:
-                    table_map[key] = np.concatenate(
-                        [existing, rows[: cap - existing.size]]
-                    )
 
     def query(self, descriptor: np.ndarray, num_neighbors: int = 1) -> list[LshMatch]:
         """Approximate nearest neighbors of one descriptor (see :meth:`query_batch`)."""
@@ -201,104 +297,130 @@ class LshIndex:
         descriptors = np.asarray(descriptors, dtype=np.float32)
         if descriptors.ndim != 2:
             raise ValueError(f"descriptors must be 2-D, got {descriptors.shape}")
-        results: list[list[LshMatch]] = []
+        queries, rows = self._candidates(descriptors)
         # float32 overflow (descriptors near 1e20) is expected in the
-        # filter: it yields non-finite bounds, which keep the row.
+        # filter: it yields non-finite bounds, which keep the pair.
         with np.errstate(over="ignore", invalid="ignore"):
-            for query, rows in zip(descriptors, self._candidates(descriptors)):
-                rows = self._shortlist(query, rows, num_neighbors)
-                results.append(self._refine(query, rows, num_neighbors))
-        return results
+            queries, rows = self._shortlist(descriptors, queries, rows, num_neighbors)
+            return self._refine(descriptors, queries, rows, num_neighbors)
 
-    def _candidates(self, descriptors: np.ndarray) -> list[np.ndarray]:
-        """Distinct candidate rows per query, in no particular order.
+    def _candidates(self, descriptors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct ``(query, row)`` candidate pairs, sorted by query, then row.
 
-        Every table hashes all ``n * (P + 1)`` probe vectors (each
-        query's bucket plus its ``P`` multiprobe perturbations) in one
-        Murmur pair; only the dictionary lookups run per probe.
+        One Murmur pass keys the ``L * n * (P + 1)`` probe vectors (each
+        query's bucket in each table plus its ``P`` multiprobe
+        perturbations), each under its table's seeds; per table, one
+        ``searchsorted`` finds their buckets.  The pairs of all tables
+        are packed as ``query << 32 | row`` and deduplicated by one sort
+        and an adjacent compare.
         """
         buckets, residuals = self.projections.quantize_with_residuals(descriptors)
         quantized = QuantizedBuckets(buckets)
-        hits: list[list[np.ndarray]] = [[] for _ in range(quantized.num_items)]
-        for table, table_map in enumerate(self._tables):
-            projections, deltas = ranked_perturbations(
-                residuals[:, table, :], self.max_probes_per_table
+        n, num_tables, num_projections = buckets.shape
+        projections, deltas = (
+            schedule.reshape(n, num_tables, schedule.shape[1])
+            for schedule in ranked_perturbations(
+                residuals.reshape(-1, num_projections), self.max_probes_per_table
             )
-            probes = quantized.probe_vectors(table, projections, deltas)
-            keys = bucket_keys(probes.reshape(-1, probes.shape[2]), table).tolist()
-            probes_per_query = probes.shape[1]
-            get = table_map.get
-            for slot, key in enumerate(keys):
-                rows = get(key)
-                if rows is not None:
-                    hits[slot // probes_per_query].append(rows)
-        # Dedupe in O(candidates): after the scatter each row's stamp
-        # names exactly one of its positions, so that position survives.
-        stamp = np.empty(self._size, dtype=np.int64)
-        candidates: list[np.ndarray] = []
-        for query_hits in hits:
-            if not query_hits:
-                candidates.append(np.empty(0, dtype=np.int32))
-                continue
-            rows = np.concatenate(query_hits)
-            positions = np.arange(rows.size)
-            stamp[rows] = positions
-            candidates.append(rows[stamp[rows] == positions])
-        return candidates
+        )
+        probes = np.stack(
+            [
+                quantized.probe_vectors(index, projections[:, index], deltas[:, index])
+                for index in range(num_tables)
+            ]
+        )  # (L, n, P + 1, M)
+        probes_per_query = probes.shape[2]
+        tables = np.repeat(np.arange(num_tables), n * probes_per_query)
+        keys = bucket_keys(probes.reshape(-1, num_projections), tables)
+        keys = keys.reshape(num_tables, -1)
+        packed = []
+        for table, table_keys in zip(self._tables, keys):
+            slot = np.searchsorted(table.keys, table_keys)
+            slot = np.minimum(slot, table.keys.size - 1)
+            hit = np.flatnonzero(table.keys[slot] == table_keys)
+            starts = table.offsets[slot[hit]]
+            counts = table.offsets[slot[hit] + 1] - starts
+            queries = np.repeat(hit // probes_per_query, counts)
+            packed.append((queries << 32) | table.rows[_ranges(starts, counts)])
+        pairs = np.concatenate(packed)
+        pairs.sort()
+        distinct = np.empty(pairs.size, dtype=bool)
+        distinct[:1] = True
+        np.not_equal(pairs[1:], pairs[:-1], out=distinct[1:])
+        pairs = pairs[distinct]
+        return pairs >> 32, pairs & 0xFFFFFFFF
 
     def _shortlist(
-        self, query: np.ndarray, rows: np.ndarray, num_neighbors: int
-    ) -> np.ndarray:
-        """Rows that can still be among the ``num_neighbors`` nearest.
+        self,
+        descriptors: np.ndarray,
+        queries: np.ndarray,
+        rows: np.ndarray,
+        num_neighbors: int,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Pairs whose row can still be among its query's ``num_neighbors`` nearest.
 
         ``‖d‖² − 2·fl32(d·q) + ‖q‖²`` estimates each squared distance
         within ``slack``: Higham's bound ``γ_D·‖d‖·‖q‖`` on a float32 dot
         product (any summation order), doubled, plus a relative margin
-        for float64 rounding.  A row whose lower bound exceeds the k-th
-        smallest upper bound is strictly farther than k other rows in
-        exact arithmetic, so dropping it cannot change the answer.  NaN
-        bounds compare false and keep the row for the exact refine.
+        for float64 rounding.  A row whose lower bound exceeds its
+        query's k-th smallest upper bound is strictly farther than k
+        other rows in exact arithmetic, so dropping it cannot change the
+        answer.  NaN bounds compare false and keep the row for the exact
+        refine; a query with at most k candidates keeps them all.
         """
-        if rows.size <= num_neighbors:
-            return rows
-        dimension = query.shape[0]
+        dimension = descriptors.shape[1]
         gamma = dimension * _F32_UNIT / (1.0 - dimension * _F32_UNIT)
+        query_norms = np.einsum("ij,ij->i", descriptors, descriptors, dtype=np.float64)
         norms = self._norms_store[rows]
-        query64 = query.astype(np.float64)
-        query_norm = float(query64 @ query64)
-        dots = (self._store[rows] @ query).astype(np.float64)
+        query_norm = query_norms[queries]
+        dots = np.empty(rows.size)
+        for start in range(0, rows.size, _DOT_CHUNK):
+            chunk = slice(start, start + _DOT_CHUNK)
+            dots[chunk] = np.vecdot(
+                np.take(self._store, rows[chunk], axis=0),
+                np.take(descriptors, queries[chunk], axis=0),
+            )
         approx = norms - 2.0 * dots + query_norm
         approx[~np.isfinite(approx)] = np.nan
         slack = 2.0 * gamma * np.sqrt(norms * query_norm) + _F64_SLACK * (
             norms + query_norm
         )
-        kth = np.partition(approx + slack, num_neighbors - 1)[num_neighbors - 1]
-        return rows[~(approx - slack > kth)]
+        kth = _kth_smallest(queries, approx + slack, descriptors.shape[0], num_neighbors)
+        keep = ~(approx - slack > kth[queries])
+        return queries[keep], rows[keep]
 
     def _refine(
-        self, query: np.ndarray, rows: np.ndarray, num_neighbors: int
-    ) -> list[LshMatch]:
-        """Exact float64 distances, ordered by (distance, row)."""
-        deltas = self._store[rows].astype(np.float64) - query.astype(np.float64)
+        self,
+        descriptors: np.ndarray,
+        queries: np.ndarray,
+        rows: np.ndarray,
+        num_neighbors: int,
+    ) -> list[list[LshMatch]]:
+        """Exact float64 distances, each query's matches ordered by (distance, row)."""
+        deltas = self._store[rows].astype(np.float64) - descriptors[queries].astype(
+            np.float64
+        )
         distances = np.sqrt((deltas**2).sum(axis=1))
-        order = np.lexsort((rows, distances))[:num_neighbors]
-        return [
+        order = np.lexsort((rows, distances, queries))
+        queries, rows, distances = queries[order], rows[order], distances[order]
+        first = np.searchsorted(queries, np.arange(descriptors.shape[0]))
+        keep = np.arange(queries.size) - first[queries] < num_neighbors
+        matches = [
             LshMatch(item_id=item_id, distance=distance)
             for item_id, distance in zip(
-                self._ids_store[rows[order]].tolist(), distances[order].tolist()
+                self._ids_store[rows[keep]].tolist(), distances[keep].tolist()
             )
         ]
+        counts = np.bincount(queries[keep], minlength=descriptors.shape[0])
+        flat = iter(matches)
+        return [list(islice(flat, count)) for count in counts.tolist()]
 
     def memory_bytes(self) -> int:
-        """In-memory footprint: rows (descriptor, id, norm) + L-fold bucket references."""
-        total = 0
+        """In-memory footprint: rows (descriptor, id, norm) + L-fold bucket tables."""
+        total = sum(array.nbytes for table in self._tables for array in table)
         if self._store is not None:
             for column in (self._store, self._ids_store, self._norms_store):
                 total += column[: self._size].nbytes
-        for table_map in self._tables:
-            # dict overhead approximated by key + pointer per entry.
-            total += len(table_map) * 16
-            total += sum(rows.nbytes for rows in table_map.values())
         return total
 
     def disk_bytes(self) -> int:

@@ -16,10 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.lsh.buckets import BUCKET_LIMIT, QuantizedBuckets
 from repro.util.rng import rng_for
 from repro.util.validation import check_positive
 
 __all__ = ["E2LSHParams", "StableProjections"]
+
+# Rows per projection GEMM (see ``StableProjections.project``).
+_BLOCK_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -51,8 +55,11 @@ class StableProjections:
         self.seed = int(seed)
         generator = rng_for(seed, "e2lsh/projections")
         shape = (params.num_tables, params.num_projections, params.dimension)
-        # Gaussian coefficients: the 2-stable distribution preserving L2.
-        self._hyperplanes = generator.standard_normal(shape)
+        # Gaussian coefficients: the 2-stable distribution preserving L2,
+        # kept as one (L·M, D) matrix so projecting is a matrix product.
+        self._hyperplanes = generator.standard_normal(shape).reshape(
+            params.num_tables * params.num_projections, params.dimension
+        )
         # Random offsets b ~ U[0, W) complete the Datar et al. construction.
         self._offsets = generator.uniform(
             0.0, params.quantization_width, size=(params.num_tables, params.num_projections)
@@ -67,18 +74,56 @@ class StableProjections:
         return self.params.num_projections
 
     def project(self, descriptors: np.ndarray) -> np.ndarray:
-        """Raw projection values, shape ``(n, L, M)``."""
-        descriptors = np.asarray(descriptors, dtype=np.float64)
+        """Raw projection values, shape ``(n, L, M)``.
+
+        The descriptors, zero-padded to whole ``_BLOCK_ROWS``-row blocks,
+        are multiplied by the ``(L·M, D)`` hyperplane matrix in float64,
+        one small GEMM per block.  Every block has the same shape, so
+        every row goes through the same BLAS kernel and summation order:
+        a descriptor's projection (and so its bucket) never depends on
+        the batch it arrives in.  One GEMM over the whole batch does not
+        have that property: BLAS picks kernels and thread splits by
+        operand shape, so the rows of a small product can differ in the
+        last bit from the same rows in a large one.  Blocks this small
+        also stay under BLAS's threading threshold, so a short query
+        batch never waits on a thread hand-off.
+        """
+        descriptors = np.asarray(descriptors)
         if descriptors.ndim == 1:
             descriptors = descriptors[np.newaxis, :]
-        if descriptors.shape[1] != self.params.dimension:
+        if descriptors.ndim != 2 or descriptors.shape[1] != self.params.dimension:
             raise ValueError(
                 f"descriptors must have dimension {self.params.dimension}, "
                 f"got shape {descriptors.shape}"
             )
-        # (L, M, D) x (n, D) -> (n, L, M)
-        projected = np.einsum("lmd,nd->nlm", self._hyperplanes, descriptors)
-        return projected + self._offsets[np.newaxis, :, :]
+        n, dimension = descriptors.shape
+        padded = np.zeros((-(-n // _BLOCK_ROWS) * _BLOCK_ROWS, dimension))
+        padded[:n] = descriptors
+        blocks = padded.reshape(-1, _BLOCK_ROWS, dimension) @ self._hyperplanes.T
+        return blocks.reshape(-1, *self._offsets.shape)[:n] + self._offsets
+
+    def check_range(self, descriptors: np.ndarray) -> None:
+        """Raise ``ValueError`` unless every bucket of ``descriptors`` can be encoded.
+
+        The same check :class:`repro.lsh.QuantizedBuckets` makes on the
+        quantized batch, for callers that must validate before mutating.
+        Since ``|floor((a·x + b) / W)| <= ‖a‖·‖x‖ / W + 2`` with ``0 <= b < W``,
+        rows whose norm is well inside that bound pass without projecting;
+        only the rest (and non-finite rows) are quantized and checked.
+        """
+        descriptors = np.asarray(descriptors)
+        if descriptors.ndim != 2 or descriptors.shape[1] != self.params.dimension:
+            raise ValueError(
+                f"descriptors must have dimension {self.params.dimension}, "
+                f"got shape {descriptors.shape}"
+            )
+        widest = np.sqrt(np.einsum("ij,ij->i", self._hyperplanes, self._hyperplanes).max())
+        # Half the bound as margin for the rounding of the norms.
+        limit = 0.5 * (BUCKET_LIMIT - 2) * self.params.quantization_width / widest
+        norms = np.einsum("ij,ij->i", descriptors, descriptors, dtype=np.float64)
+        unclear = ~(np.sqrt(norms) <= limit)
+        if unclear.any():
+            QuantizedBuckets(self.quantize(descriptors[unclear]))
 
     def quantize(self, descriptors: np.ndarray) -> np.ndarray:
         """Bucket vectors ``floor(projection / W)``, shape ``(n, L, M)`` int64."""

@@ -1,11 +1,15 @@
-"""Test-only oracle: the original ``LshIndex.query_batch`` query path.
+"""Test-only oracles: the original LSH projection, tables and query path.
 
-The library index filters candidates with a float32 distance bound and
-re-ranks only a shortlist in float64.  This module keeps the straight
-version it replaced — every candidate converted to float64 and sorted —
-so the parity suite in ``tests/test_lsh.py`` can check that the fast
-path returns bit-identical distances.  It reads the index's tables and
-row storage directly and never mutates them.
+The library projects with one padded GEMM, keeps each table as flat CSR
+arrays and answers a fingerprint with whole-array passes over
+``(query, row)`` pairs, filtering candidates with a float32 distance
+bound before an exact float64 refine.  This module keeps the straight
+versions they replaced — an ``einsum`` projection, one ``dict`` of
+bucket arrays per table filled bucket by bucket, and a per-query probe
+loop that converts every candidate to float64 and sorts it — so the
+parity suite in ``tests/test_lsh.py`` can check the fast paths against
+them.  It reads the index's projections and row storage directly and
+never mutates them.
 """
 
 from __future__ import annotations
@@ -13,9 +17,47 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hashing.murmur3 import murmur3_32_vectors
-from repro.lsh import LshIndex, LshMatch
+from repro.lsh import LshIndex, LshMatch, QuantizedBuckets, StableProjections
 
-__all__ = ["candidate_rows_reference", "inline_probe_schedule", "query_batch_reference"]
+__all__ = [
+    "candidate_rows_reference",
+    "inline_probe_schedule",
+    "project_reference",
+    "query_batch_reference",
+    "tables_reference",
+]
+
+
+def project_reference(projections: StableProjections, descriptors: np.ndarray) -> np.ndarray:
+    """The original ``(L, M, D) x (n, D) -> (n, L, M)`` einsum projection."""
+    params = projections.params
+    hyperplanes = projections._hyperplanes.reshape(
+        params.num_tables, params.num_projections, params.dimension
+    )
+    descriptors = np.asarray(descriptors, dtype=np.float64)
+    projected = np.einsum("lmd,nd->nlm", hyperplanes, descriptors)
+    return projected + projections._offsets[np.newaxis, :, :]
+
+
+def tables_reference(index: LshIndex) -> list[dict[int, np.ndarray]]:
+    """The index's stored rows bucketed the original way: a dict per table.
+
+    Rows are inserted in stored order and each bucket keeps its first
+    ``max_bucket_size`` rows, one bucket at a time.
+    """
+    stored = index._store[: index.size]
+    quantized = QuantizedBuckets(index.projections.quantize(stored))
+    tables: list[dict[int, np.ndarray]] = []
+    for table in range(index.params.num_tables):
+        table_map: dict[int, list[int]] = {}
+        for row, key in enumerate(quantized.table_keys(table).tolist()):
+            rows = table_map.setdefault(key, [])
+            if len(rows) < index.max_bucket_size:
+                rows.append(row)
+        tables.append(
+            {key: np.array(rows, dtype=np.int32) for key, rows in table_map.items()}
+        )
+    return tables
 
 
 def inline_probe_schedule(
@@ -37,8 +79,14 @@ def inline_probe_schedule(
     return projections, deltas
 
 
-def candidate_rows_reference(index: LshIndex, descriptors: np.ndarray) -> list[np.ndarray]:
+def candidate_rows_reference(
+    index: LshIndex,
+    descriptors: np.ndarray,
+    tables: list[dict[int, np.ndarray]] | None = None,
+) -> list[np.ndarray]:
     """Sorted unique candidate rows per query, as the original index found them."""
+    if tables is None:
+        tables = tables_reference(index)
     buckets, residuals = index.projections.quantize_with_residuals(descriptors)
     num_queries = buckets.shape[0]
     per_query: list[list[np.ndarray]] = [[] for _ in range(num_queries)]
@@ -57,7 +105,7 @@ def candidate_rows_reference(index: LshIndex, descriptors: np.ndarray) -> list[n
                     :, probe_rank
                 ]
                 probe_vectors.append(perturbed)
-        table_map = index._tables[table]
+        table_map = tables[table]
         for probe in probe_vectors:
             unsigned = (probe + bias).astype(np.uint32)
             low = murmur3_32_vectors(unsigned, seed=2 * table).astype(np.uint64)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -14,11 +16,15 @@ from repro.lsh import (
     StableProjections,
     perturbation_sets,
 )
+from repro.lsh.buckets import bucket_keys
+from repro.lsh.index import _kth_smallest
 from repro.lsh.multiprobe import ranked_perturbations
 from tests.lsh_reference import (
     candidate_rows_reference,
     inline_probe_schedule,
+    project_reference,
     query_batch_reference,
+    tables_reference,
 )
 
 
@@ -76,6 +82,41 @@ class TestStableProjections:
         )
         assert np.array_equal(buckets, reconstructed.astype(np.int64))
 
+    def test_buckets_match_einsum_reference(self, descriptors_1k):
+        projections = StableProjections(E2LSHParams(), seed=3)
+        projected = projections.project(descriptors_1k)
+        reference = project_reference(projections, descriptors_1k)
+        assert np.abs(projected - reference).max() < 1e-9
+        width = projections.params.quantization_width
+        assert np.array_equal(
+            projections.quantize(descriptors_1k),
+            np.floor(reference / width).astype(np.int64),
+        )
+
+    @given(
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_projection_independent_of_batch(self, size, seed, integral):
+        rng = np.random.default_rng(seed)
+        batch = rng.normal(120.0, 40.0, (size, 128)).astype(np.float32)
+        if integral:
+            batch = np.rint(batch)
+        projections = StableProjections(E2LSHParams(), seed=seed % 97)
+        whole = projections.project(batch)
+        for row in {0, size // 2, size - 1}:
+            assert np.array_equal(whole[row], projections.project(batch[row : row + 1])[0])
+
+    def test_large_batch_rows_equal_single_rows(self, rng):
+        # Large enough for a multi-threaded BLAS to split the product.
+        batch = rng.integers(0, 256, (5000, 128)).astype(np.float32)
+        projections = StableProjections(E2LSHParams(), seed=1)
+        whole = projections.project(batch)
+        for row in range(0, 5000, 611):
+            assert np.array_equal(whole[row], projections.project(batch[row])[0])
+
 
 class TestQuantizedBuckets:
     def test_encoding_injective_on_sign(self):
@@ -92,6 +133,14 @@ class TestQuantizedBuckets:
         buckets = QuantizedBuckets(data)
         keys = buckets.table_keys(0)
         assert keys[0] == keys[1]
+
+    def test_keys_with_per_vector_tables(self):
+        vectors = np.random.default_rng(0).integers(0, 2**21, (12, 7)).astype(np.uint32)
+        tables = np.arange(12) % 3
+        mixed = bucket_keys(vectors, tables)
+        for table in range(3):
+            alone = bucket_keys(vectors[tables == table], table)
+            assert np.array_equal(mixed[tables == table], alone)
 
     def test_perturbed_changes_one_coordinate(self):
         data = np.zeros((1, 2, 3), dtype=np.int64)
@@ -168,7 +217,10 @@ class TestLshIndex:
         idx = LshIndex(E2LSHParams(num_tables=2), max_bucket_size=32)
         idx.build(duplicated, np.arange(500))
         for table in idx._tables:
-            assert all(len(rows) <= 32 for rows in table.values())
+            # One bucket holding the first 32 rows.
+            assert table.keys.size == 1
+            assert table.offsets.tolist() == [0, 32]
+            assert table.rows.tolist() == list(range(32))
 
     def test_rejected_insert_leaves_index_untouched(self, descriptors_1k):
         untouched = LshIndex(E2LSHParams(), seed=1)
@@ -179,6 +231,8 @@ class TestLshIndex:
             index.insert(np.full((1, 128), 1e12, np.float32), np.array([500]))
         assert index.size == untouched.size == 500
         assert index.memory_bytes() == untouched.memory_bytes()
+        for got, want in zip(index._tables, untouched._tables):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
         queries = descriptors_1k[::50]
         assert index.query_batch(queries, 3) == untouched.query_batch(queries, 3)
 
@@ -211,9 +265,11 @@ class TestSharedProbeSchedule:
         assert np.array_equal(shared[1], inline[1])
 
 
-def _exact_ranking(index: LshIndex, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _exact_ranking(
+    index: LshIndex, query: np.ndarray, tables: list[dict[int, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray]:
     """Reference candidates and their exact float64 distances, by (distance, row)."""
-    rows = candidate_rows_reference(index, query[None])[0]
+    rows = candidate_rows_reference(index, query[None], tables)[0]
     deltas = index._store[rows].astype(np.float64) - query.astype(np.float64)
     distances = np.sqrt((deltas**2).sum(axis=1))
     order = np.lexsort((rows, distances))
@@ -231,8 +287,9 @@ def _assert_parity(index: LshIndex, queries: np.ndarray, k: int) -> None:
     fast = index.query_batch(queries, num_neighbors=k)
     reference = query_batch_reference(index, queries, num_neighbors=k)
     row_of = {int(item): row for row, item in enumerate(index._ids_store[: index.size])}
+    tables = tables_reference(index)
     for query, got, want in zip(queries, fast, reference):
-        rows, distances = _exact_ranking(index, query)
+        rows, distances = _exact_ranking(index, query, tables)
         assert [m.distance for m in got] == [m.distance for m in want]
         assert [m.distance for m in got] == distances[:k].tolist()
         for g, w in zip(got, want):
@@ -298,6 +355,20 @@ class TestQueryParity:
         assert candidate_rows_reference(index, far)[0].size == 0
         assert index.query_batch(far, num_neighbors=2) == [[]]
         assert index.query(far[0]) == []
+        assert index.query_batch(np.empty((0, 128), np.float32), num_neighbors=2) == []
+
+    def test_kth_bound_never_below_the_kth_value(self):
+        values = np.array([-0.0, -0.0, 5.0, 6.0, np.nan, 1.0, -3.0, 2.0, 1e300, 7.5])
+        groups = np.array([0, 0, 0, 0, 1, 1, 1, 1, 2, 3])
+        kth = _kth_smallest(groups, values, 5, 3)
+        # Group 0's third smallest is 5.0 (the -0.0 rows sort first), bounded
+        # by the next float32 up; group 1 (NaN largest) has 2.0, bounded by
+        # |-3.0|'s successor; groups with <= 3 values (or none) keep all.
+        assert kth[0] == np.nextafter(np.float32(5.0), np.float32(np.inf))
+        assert 2.0 <= kth[1] <= np.nextafter(np.float32(3.0), np.float32(np.inf))
+        assert np.isinf(kth[2:]).all()
+        inexact = _kth_smallest(np.zeros(2, np.int64), np.array([0.1, 0.2]), 1, 1)
+        assert 0.1 <= inexact[0] <= 0.1 * (1 + 2**-22)
 
     def test_k_larger_than_candidates(self, rng):
         table = rng.integers(0, 256, (5, 128)).astype(np.float32)
@@ -353,9 +424,66 @@ class TestQueryParity:
     def test_memory_bytes_counts_norms(self, descriptors_1k):
         index = LshIndex(seed=6)
         index.build(descriptors_1k[:300], np.arange(300))
-        tables = sum(
-            len(table) * 16 + sum(rows.nbytes for rows in table.values())
-            for table in index._tables
-        )
-        # float32 descriptor + int64 id + float64 squared norm per row.
+        buckets = sum(table.keys.size for table in index._tables)
+        # uint64 key + int64 offset per bucket (plus one closing offset
+        # per table), int32 row per bucket entry; float32 descriptor,
+        # int64 id and float64 squared norm per stored row.
+        tables = buckets * 16 + index.params.num_tables * (8 + 300 * 4)
         assert index.memory_bytes() == tables + 300 * (128 * 4 + 8 + 8)
+
+
+def _table_dict(table) -> dict[int, list[int]]:
+    """A CSR table as ``{key: rows}``."""
+    bounds = table.offsets.tolist()
+    return {
+        key: table.rows[start:end].tolist()
+        for key, start, end in zip(table.keys.tolist(), bounds[:-1], bounds[1:])
+    }
+
+
+class TestCsrTables:
+    def test_layout_matches_reference_tables(self, descriptors_1k):
+        table = np.vstack([descriptors_1k, descriptors_1k[:300]])  # full buckets
+        index = LshIndex(E2LSHParams(), seed=2, max_bucket_size=2)
+        index.build(table, np.arange(1300))
+        for got, want in zip(index._tables, tables_reference(index)):
+            assert np.all(np.diff(got.keys.astype(np.float64)) > 0)
+            assert got.offsets[0] == 0 and got.offsets[-1] == got.rows.size
+            assert got.keys.dtype == np.uint64 and got.rows.dtype == np.int32
+            assert _table_dict(got) == {key: rows.tolist() for key, rows in want.items()}
+
+    @given(
+        st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_size=8),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_any_insert_split_equals_one_build(self, splits, cap, seed):
+        rng = np.random.default_rng(seed)
+        # Few distinct rows in wide cells: buckets overflow the cap, and
+        # 1,100+ rows outgrow the 1,024-row first capacity.
+        distinct = rng.integers(0, 256, (40, 128)).astype(np.float32)
+        table = distinct[rng.integers(0, 40, 1100 + sum(splits))]
+        params = E2LSHParams(num_tables=3, num_projections=2, quantization_width=1500.0)
+        built = LshIndex(params, seed=seed % 1000, max_bucket_size=cap)
+        built.build(table, np.arange(table.shape[0]))
+        grown = LshIndex(params, seed=seed % 1000, max_bucket_size=cap)
+        bounds = np.cumsum([0, *splits, 1100]).tolist()
+        for start, end in zip(bounds[:-1], bounds[1:]):
+            grown.insert(table[start:end], np.arange(start, end))
+        assert grown.size == built.size == table.shape[0]
+        for got, want in zip(grown._tables, built._tables):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            assert np.diff(got.offsets).max() <= cap
+
+    def test_memory_bytes_tracks_allocations(self, rng):
+        table = rng.integers(0, 256, (12_500, 128)).astype(np.float32)
+        ids = np.arange(12_500)
+        index = LshIndex(seed=3)
+        tracemalloc.start()
+        try:
+            index.build(table, ids)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert abs(index.memory_bytes() - held) <= 0.05 * held

@@ -51,6 +51,19 @@ class TestIngest:
         with pytest.raises(ValueError):
             server.ingest(np.zeros((5, 128)), np.zeros((4, 3)))
 
+    def test_rejected_batch_leaves_server_untouched(self, rng):
+        server = VisualPrintServer(VisualPrintConfig(descriptor_capacity=1024))
+        descriptors = np.array([random_sift_descriptor(rng) for _ in range(120)])
+        server.ingest(descriptors, rng.uniform(0, 10, (120, 3)))
+        outlier = np.full((1, 128), 1e12)
+        with pytest.raises(ValueError, match="2\\^20"):
+            server.ingest(np.vstack([descriptors[:3], outlier]), np.zeros((4, 3)))
+        assert server.num_mappings == server.positions.shape[0] == 120
+        assert server.lookup.size == server.oracle.inserted_count == 120
+        with pytest.raises(ValueError):
+            server.ingest(descriptors[:2], np.zeros((2, 2)))
+        assert server.num_mappings == server.lookup.size == 120
+
     def test_oracle_curated_during_ingest(self, populated_server):
         server, descriptors, _ = populated_server
         assert server.oracle.inserted_count == descriptors.shape[0]
