@@ -1,6 +1,6 @@
 """Observability-layer cost guards.
 
-Three assertions the obs subsystem must keep true as it grows:
+Four assertions the obs subsystem must keep true as it grows:
 
 1. Instrumenting :meth:`UniquenessOracle.counts` costs < 5% on a
    1k x 128 descriptor batch versus the uninstrumented path (a disabled
@@ -8,10 +8,11 @@ Three assertions the obs subsystem must keep true as it grows:
 2. Incremental :meth:`LshIndex.insert` beats rebuild-per-batch ingest
    (the quadratic wardrive pathology the server used to have), with the
    win visible in the ``server_ingest_seconds`` sketch.
-3. Full tracing (per-query root span + TraceCollector + FlightRecorder)
-   around :meth:`UniquenessOracle.lookup_batch` costs < 5% versus the
-   untraced path — the hot-path guard for the tracing layer, recorded
-   as a BENCH_obs_trace.json trajectory row.
+3. Full tracing (a per-query root span kept by a TraceCollector, the
+   flight recorder's ``slowest_traces`` pick over it) around
+   :meth:`UniquenessOracle.lookup_batch` costs < 5% versus the untraced
+   path — the hot-path guard for the tracing layer, recorded as a
+   BENCH_obs_trace.json trajectory row.
 4. Per-query SLO accounting (a :class:`QuantileSketch` observe plus an
    :class:`SloTracker` record) around the same lookup costs < 5%
    versus the unobserved path — the guard the SLO engine ships under,
@@ -27,11 +28,11 @@ import numpy as np
 from repro.core import UniquenessOracle, VisualPrintConfig
 from repro.lsh import LshIndex
 from repro.obs import (
-    FlightRecorder,
     MetricsRegistry,
     SloTracker,
     TraceCollector,
     default_objectives,
+    slowest_traces,
     trace_span,
     use_collector,
 )
@@ -104,20 +105,18 @@ def test_lookup_tracing_overhead(benchmark, obs_trace_trajectory):
     oracle.insert(descriptors[:500])
 
     collector = TraceCollector()
-    recorder = FlightRecorder(8)
 
     def plain() -> None:
         oracle.lookup_batch(descriptors)
 
     def traced() -> None:
         # The full per-query tracing stack: a "query" root span around
-        # the lookup, collection, slowest-K retention, then reset —
-        # exactly what a --flight-recorder CLI run does per query.
+        # the lookup, kept by the collector — exactly what a
+        # --flight-recorder CLI run does per query.  The slowest-K pick
+        # runs once, over the collector, after the run (below).
         with use_collector(collector):
             with trace_span("query"):
                 oracle.lookup_batch(descriptors)
-        recorder.observe_all(collector.traces())
-        collector.clear()
 
     # Warm both paths (allocator, caches) before timing.
     plain()
@@ -145,7 +144,9 @@ def test_lookup_tracing_overhead(benchmark, obs_trace_trajectory):
         f"plain {baseline_seconds * 1e3:.3f} ms exceeds "
         f"{(_OVERHEAD_BUDGET - 1) * 100:.0f}% budget"
     )
-    assert len(recorder) == 8  # the recorder really saw the traced queries
+    # The collector really kept every traced query (1 warm-up + 25).
+    assert len(slowest_traces(collector.traces(), 8)) == 8
+    assert len(collector.roots) == 26
 
     obs_trace_trajectory["lookup_batch_tracing"] = {
         "descriptors": descriptors.shape[0],

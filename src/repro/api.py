@@ -60,7 +60,6 @@ from repro.network import (
     AdaptiveOffloadPolicy,
     LinkQualityEstimator,
     RetryPolicy,
-    SubmissionOutcome,
     TransferOutcome,
     UplinkChannel,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "ServingFrontend",
     "ShardSaturatedError",
     "SnapshotStore",
-    "SubmissionOutcome",
     "TransferOutcome",
     "UniquenessOracle",
     "UplinkChannel",

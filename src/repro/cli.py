@@ -58,10 +58,10 @@ import argparse
 import contextlib
 import json
 import sys
+from typing import Iterator
 
 from repro.obs import (
     EventLog,
-    FlightRecorder,
     MetricsRegistry,
     SloTracker,
     TraceCollector,
@@ -71,6 +71,7 @@ from repro.obs import (
     format_trace,
     parse_metric_key,
     run_top,
+    slowest_traces,
     use_collector,
     use_event_log,
     use_registry,
@@ -399,17 +400,6 @@ def _run_slo_report(argv: list[str]) -> int:
     return 1 if args.fail_on_alerts and alerts else 0
 
 
-def _print_flight_recorder(recorder: FlightRecorder) -> None:
-    print("=== flight recorder " + "=" * 41)
-    print(
-        f"  {len(recorder)}/{recorder.capacity} slowest traces retained, "
-        f"{recorder.evicted} evicted"
-    )
-    for trace in recorder.slowest():
-        for line in format_trace(trace).splitlines():
-            print(f"  {line}")
-
-
 def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
     """The shared observability flags (experiment subcommands + serve)."""
     parser.add_argument(
@@ -462,36 +452,28 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _make_collector(args, registry: MetricsRegistry) -> TraceCollector | None:
-    if args.trace_out or args.trace_ndjson or args.flight_recorder > 0:
-        return TraceCollector(registry=registry)
-    return None
-
-
-def _make_event_log(args, registry: MetricsRegistry) -> EventLog | None:
-    if getattr(args, "events_ndjson", None):
-        return EventLog(registry=registry)
-    return None
-
-
-def _make_slo_tracker(args, registry: MetricsRegistry) -> SloTracker | None:
-    if getattr(args, "slo_report", None):
-        return SloTracker(default_objectives(), registry=registry)
-    return None
-
-
 @contextlib.contextmanager
-def _obs_scope(
-    registry: MetricsRegistry,
-    collector: TraceCollector | None = None,
-    events: EventLog | None = None,
-    slo: SloTracker | None = None,
-):
-    """Install the run's observability sinks as the contextual defaults.
+def _obs_session(args) -> Iterator[MetricsRegistry]:
+    """Run the body under the sinks the shared obs flags ask for.
 
-    The event log installs before the SLO tracker so burn alerts the
-    tracker raises land in the log.
+    Builds the run's registry and whichever trace collector, event log
+    and SLO tracker the flags need, installs them as the contextual
+    defaults (the event log before the SLO tracker, so burn alerts the
+    tracker raises land in the log), and writes every requested artifact
+    once the body exits normally.  A body that raises writes nothing.
     """
+    registry = MetricsRegistry()
+    collector = (
+        TraceCollector(registry=registry)
+        if args.trace_out or args.trace_ndjson or args.flight_recorder > 0
+        else None
+    )
+    events = EventLog(registry=registry) if args.events_ndjson else None
+    slo = (
+        SloTracker(default_objectives(), registry=registry)
+        if args.slo_report
+        else None
+    )
     with contextlib.ExitStack() as stack:
         stack.enter_context(use_registry(registry))
         if collector is not None:
@@ -500,32 +482,9 @@ def _obs_scope(
             stack.enter_context(use_event_log(events))
         if slo is not None:
             stack.enter_context(use_slo_tracker(slo))
-        yield
-
-
-def _write_obs_outputs(
-    args,
-    registry: MetricsRegistry,
-    collector: TraceCollector | None,
-    slo: SloTracker | None = None,
-    events: EventLog | None = None,
-) -> None:
-    """Emit the trace/metrics artifacts the shared obs flags asked for."""
+        yield registry
     if collector is not None:
-        num_spans = sum(1 for _ in collector.spans())
-        if args.trace_out:
-            write_chrome_trace(collector.roots, args.trace_out)
-            print(
-                f"chrome trace ({len(collector.traces())} traces, "
-                f"{num_spans} spans) written to {args.trace_out}"
-            )
-        if args.trace_ndjson:
-            write_ndjson(collector.roots, args.trace_ndjson)
-            print(f"span NDJSON ({num_spans} spans) written to {args.trace_ndjson}")
-        if args.flight_recorder > 0:
-            recorder = FlightRecorder(args.flight_recorder, registry=registry)
-            recorder.observe_all(collector.traces())
-            _print_flight_recorder(recorder)
+        _write_traces(args, collector)
     if args.metrics_json or args.metrics_prom:
         _print_metrics_summary(registry)
     if args.metrics_json:
@@ -535,18 +494,44 @@ def _write_obs_outputs(
         with open(args.metrics_prom, "w", encoding="utf-8") as handle:
             handle.write(registry.to_prometheus())
         print(f"metrics Prometheus text written to {args.metrics_prom}")
-    if slo is not None and args.slo_report:
+    if slo is not None:
         slo.write_json(args.slo_report)
         print(
             f"SLO report ({slo.alerts_fired} burn alerts) "
             f"written to {args.slo_report}"
         )
-    if events is not None and args.events_ndjson:
+    if events is not None:
         events.write_ndjson(args.events_ndjson)
         print(
             f"event NDJSON ({len(events)} events, {events.dropped} dropped) "
             f"written to {args.events_ndjson}"
         )
+
+
+def _write_traces(args, collector: TraceCollector) -> None:
+    """Emit the span artifacts and the flight recorder the flags ask for."""
+    num_spans = sum(1 for _ in collector.spans())
+    traces = collector.traces()
+    if args.trace_out:
+        write_chrome_trace(collector.roots, args.trace_out)
+        print(
+            f"chrome trace ({len(traces)} traces, "
+            f"{num_spans} spans) written to {args.trace_out}"
+        )
+    if args.trace_ndjson:
+        write_ndjson(collector.roots, args.trace_ndjson)
+        print(f"span NDJSON ({num_spans} spans) written to {args.trace_ndjson}")
+    if args.flight_recorder > 0:
+        k = args.flight_recorder
+        slowest = slowest_traces(traces, k)
+        print("=== flight recorder " + "=" * 41)
+        print(
+            f"  {len(slowest)}/{k} slowest traces retained, "
+            f"{max(0, len(traces) - k)} evicted"
+        )
+        for trace in slowest:
+            for line in format_trace(trace).splitlines():
+                print(f"  {line}")
 
 
 def _bootstrap_venues(root, count: int, seed: int) -> list[str]:
@@ -647,23 +632,19 @@ def _run_serve(argv: list[str]) -> int:
 
     channel = resolve_channel(args.channel)
     root = Path(args.state)
-    registry = MetricsRegistry()
-    collector = _make_collector(args, registry)
-    events = _make_event_log(args, registry)
-    slo = _make_slo_tracker(args, registry)
-    with _obs_scope(registry, collector, events, slo):
-        if args.bootstrap > 0:
-            names = _bootstrap_venues(root, args.bootstrap, args.seed)
-            print(f"bootstrapped {len(names)} venue(s) under {root}")
-        else:
-            names = sorted(
-                p.name
-                for p in root.iterdir()
-                if p.is_dir() and any(p.glob("gen-*"))
-            ) if root.is_dir() else []
+    if args.bootstrap <= 0:
+        names = sorted(
+            p.name
+            for p in root.iterdir()
+            if p.is_dir() and any(p.glob("gen-*"))
+        ) if root.is_dir() else []
         if not names:
             print(f"no venues found under {root} (try --bootstrap N)")
             return 2
+    with _obs_session(args) as registry:
+        if args.bootstrap > 0:
+            names = _bootstrap_venues(root, args.bootstrap, args.seed)
+            print(f"bootstrapped {len(names)} venue(s) under {root}")
         frontend = ServingFrontend(
             num_shards=args.shards,
             workers=args.workers,
@@ -705,7 +686,6 @@ def _run_serve(argv: list[str]) -> int:
         for shard_id, venues in sorted(frontend.placement().items()):
             print(f"  {shard_id}: {', '.join(venues) if venues else '(empty)'}")
         frontend.close()
-    _write_obs_outputs(args, registry, collector, slo=slo, events=events)
     return 0
 
 
@@ -890,11 +870,7 @@ def _run_loadtest(argv: list[str]) -> int:
             seed=args.seed, mean_seconds=args.service_mean
         )
 
-    registry = MetricsRegistry()
-    collector = _make_collector(args, registry)
-    events = _make_event_log(args, registry)
-    slo = _make_slo_tracker(args, registry)
-    with _obs_scope(registry, collector, events, slo):
+    with _obs_session(args) as registry:
         report = run_loadtest(
             model,
             cluster,
@@ -904,30 +880,28 @@ def _run_loadtest(argv: list[str]) -> int:
             channel=channel,
             adaptive=args.adaptive,
             registry=registry,
-            slo_tracker=slo,
         )
-    latency = report["latency_seconds"]
-    print(
-        f"offered {report['offered']} queries from {args.users} users over "
-        f"{duration:g} s sim: served {report['served']}, "
-        f"shed {report['shed']} ({report['shed_fraction']:.1%}), "
-        f"abandoned {report['abandoned']}"
-    )
-    print(
-        f"latency p50/p99/p999: {latency['p50'] * 1e3:.1f} / "
-        f"{latency['p99'] * 1e3:.1f} / {latency['p999'] * 1e3:.1f} ms"
-    )
-    print(
-        f"sustained {report['queries_per_second']:.1f} qps on "
-        f"{args.shards} shard(s) x{args.replication_factor} replication "
-        f"= {report['queries_per_second_per_core']:.1f} qps/core, "
-        f"hot venue share {report['hot_venue_share']:.1%}"
-    )
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"load-test report written to {args.out}")
-    _write_obs_outputs(args, registry, collector, slo=slo, events=events)
+        latency = report["latency_seconds"]
+        print(
+            f"offered {report['offered']} queries from {args.users} users over "
+            f"{duration:g} s sim: served {report['served']}, "
+            f"shed {report['shed']} ({report['shed_fraction']:.1%}), "
+            f"abandoned {report['abandoned']}"
+        )
+        print(
+            f"latency p50/p99/p999: {latency['p50'] * 1e3:.1f} / "
+            f"{latency['p99'] * 1e3:.1f} / {latency['p999'] * 1e3:.1f} ms"
+        )
+        print(
+            f"sustained {report['queries_per_second']:.1f} qps on "
+            f"{args.shards} shard(s) x{args.replication_factor} replication "
+            f"= {report['queries_per_second_per_core']:.1f} qps/core, "
+            f"hot venue share {report['hot_venue_share']:.1%}"
+        )
+        with open(args.out, "w", encoding="utf-8") as handle:
+            json.dump(report, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print(f"load-test report written to {args.out}")
     return 0
 
 
@@ -1076,12 +1050,8 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
 
-    registry = MetricsRegistry()
-    collector = _make_collector(args, registry)
-    events = _make_event_log(args, registry)
-    slo = _make_slo_tracker(args, registry)
     names = sorted(_EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    with _obs_scope(registry, collector, events, slo):
+    with _obs_session(args):
         for name in names:
             module = _EXPERIMENTS[name]
             extra = {"workers": workers} if name in _WORKERS_AWARE else {}
@@ -1096,8 +1066,6 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 module.main(**extra)
             print()
-
-    _write_obs_outputs(args, registry, collector, slo=slo, events=events)
     return 0
 
 

@@ -4,8 +4,9 @@ Per frame: extract SIFT keypoints, query the downloaded uniqueness
 oracle for every descriptor (constant time each), rank, keep the top-k,
 serialize.  The client reports everything the paper's client-overhead
 figures (Figs. 14 and 16) need into a :class:`repro.obs.MetricsRegistry`:
-nested per-frame :class:`repro.obs.Span` traces via ``client.tracer``,
-whose durations are the per-stage latency sketches
+nested per-frame :class:`repro.obs.Span` traces (the latest "frame"
+span is ``client.last_frame_span``), whose durations are the per-stage
+latency sketches
 (``span_frame_seconds``, ``span_sift_seconds``, ``span_oracle_seconds``,
 ``span_serialize_seconds``), frame/keypoint/byte counters, and a
 blur-rejection counter.
@@ -30,7 +31,13 @@ from repro.features.serialize import serialize_keypoints_into, serialized_size
 from repro.features.sift import SiftExtractor, SiftParams
 from repro.network.faults import RetryPolicy, TransferOutcome, submit_payload
 from repro.network.linkstate import AdaptiveConfig, AdaptiveOffloadPolicy
-from repro.obs import MetricsRegistry, Tracer, resolve_registry, use_trace_context
+from repro.obs import (
+    MetricsRegistry,
+    Span,
+    resolve_registry,
+    trace_span,
+    use_trace_context,
+)
 
 __all__ = ["OffloadReport", "VisualPrintClient"]
 
@@ -78,7 +85,8 @@ class VisualPrintClient:
         # Optional frame gate: "performs a quick check on each frame to
         # detect blur ... discarding such frames" (paper, client app).
         self.blur_detector = blur_detector
-        self.tracer = Tracer(self._registry)
+        #: The most recent "frame" span, the root of that query's trace.
+        self.last_frame_span: Span | None = None
         # Zero-copy serialization state: the wire payload is written into
         # this reusable bytearray (grown once to the high-water mark),
         # with a float32 scratch for the descriptor rint/clip pass.
@@ -167,7 +175,7 @@ class VisualPrintClient:
 
     def extract_keypoints(self, image: np.ndarray) -> KeypointSet:
         """SIFT extraction with latency accounting."""
-        with self.tracer.span("sift") as span:
+        with trace_span("sift", registry=self._registry) as span:
             keypoints = self._extractor.extract(image)
             span.set("keypoints", len(keypoints))
         return keypoints
@@ -185,7 +193,7 @@ class VisualPrintClient:
             )
             self._account(keypoints, fingerprint)
             return fingerprint
-        with self.tracer.span("oracle") as span:
+        with trace_span("oracle", registry=self._registry) as span:
             counts = self.oracle.counts(keypoints.descriptors)
             order = self.oracle.rank_by_uniqueness(keypoints.descriptors, counts=counts)
             kept = order[: config.fingerprint_size]
@@ -210,11 +218,14 @@ class VisualPrintClient:
 
         The "frame" root span is the query's trace root: its
         ``trace_id`` identifies this query everywhere downstream, and
-        ``client.tracer.last_context()`` hands drivers the
+        ``client.last_frame_span.context`` hands drivers the
         :class:`repro.obs.TraceContext` to attach the channel transfer
         and server localize legs to (see DESIGN.md §8).
         """
-        with self.tracer.span("frame", frame_index=frame_index) as span:
+        with trace_span(
+            "frame", registry=self._registry, frame_index=frame_index
+        ) as span:
+            self.last_frame_span = span
             if self.blur_detector is not None and self.blur_detector.is_blurred(image):
                 self._m_frames_blur.inc()
                 span.set("rejected", "blur")
@@ -311,7 +322,7 @@ class VisualPrintClient:
         fingerprint = self.process_frame(image, frame_index=frame_index)
         if fingerprint is None:
             return OffloadReport(status="rejected", fingerprint=None, outcome=None)
-        with use_trace_context(self.tracer.last_context()):
+        with use_trace_context(self.last_frame_span.context):
             outcome = self.submit_fingerprint(
                 fingerprint, channel, rng=rng, retry_policy=retry_policy
             )
@@ -335,7 +346,7 @@ class VisualPrintClient:
             scratch = self._serialize_scratch = np.empty(
                 (count, DESCRIPTOR_DIM), dtype=np.float32
             )
-        with self.tracer.span("serialize") as span:
+        with trace_span("serialize", registry=self._registry) as span:
             upload_bytes = serialize_keypoints_into(
                 fingerprint.keypoints, self._serialize_buffer, scratch=scratch[:count]
             )

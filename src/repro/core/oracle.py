@@ -46,7 +46,7 @@ from repro.hashing.families import Murmur3Family
 from repro.lsh.buckets import QuantizedBuckets
 from repro.lsh.multiprobe import perturbation_sets, ranked_perturbations
 from repro.lsh.projections import StableProjections
-from repro.obs import MetricsRegistry, Tracer, resolve_registry
+from repro.obs import MetricsRegistry, resolve_registry, trace_span
 
 __all__ = ["OracleLookup", "UniquenessOracle"]
 
@@ -126,7 +126,6 @@ class UniquenessOracle:
         self._inserted = 0
         self._download_cache: tuple[tuple[int, int], int] | None = None
         self._registry = resolve_registry(registry)
-        self.tracer = Tracer(self._registry)
         # Instrument handles are bound once: the counts() hot path pays
         # one perf_counter pair + two attribute calls, nothing more.
         self._m_insert_seconds = self._registry.sketch(
@@ -192,6 +191,9 @@ class UniquenessOracle:
         descriptors = np.asarray(descriptors, dtype=np.float32)
         if descriptors.ndim != 2:
             raise ValueError(f"descriptors must be 2-D, got {descriptors.shape}")
+        # All batches or none: a bad row in a late batch must not leave
+        # the earlier ones counted.
+        self.projections.check_range(descriptors)
         batches = [
             descriptors[start : start + batch_size]
             for start in range(0, descriptors.shape[0], batch_size)
@@ -362,8 +364,10 @@ class UniquenessOracle:
             raise ValueError(f"descriptors must be 2-D, got {descriptors.shape}")
         if descriptors.shape[0] == 0:
             return []
-        with self.tracer.span(
-            "oracle.lookup_batch", batch=int(descriptors.shape[0])
+        with trace_span(
+            "oracle.lookup_batch",
+            registry=self._registry,
+            batch=int(descriptors.shape[0]),
         ) as span:
             results = self._lookup_batch_vectorized(descriptors)
             span.set("present", sum(1 for r in results if r.present))

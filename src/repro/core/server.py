@@ -35,7 +35,7 @@ from repro.localization.solver import (
     LocalizationSolution,
 )
 from repro.lsh import LshIndex
-from repro.obs import MetricsRegistry, Tracer, resolve_registry
+from repro.obs import MetricsRegistry, resolve_registry, trace_span
 
 __all__ = ["LocalizationAnswer", "VisualPrintServer"]
 
@@ -62,7 +62,6 @@ class VisualPrintServer:
     ) -> None:
         self.config = config or VisualPrintConfig()
         self._registry = resolve_registry(registry)
-        self.tracer = Tracer(self._registry)
         self.oracle = UniquenessOracle(self.config, registry=self._registry)
         # The lookup table shares the oracle's LSH parameters but is a
         # separate structure (it stores payloads, not counters).
@@ -143,14 +142,14 @@ class VisualPrintServer:
             )
         # The table, the oracle and the index take the batch together or
         # not at all: every row must quantize under both projections
-        # before any of them changes.
-        self.oracle.projections.check_range(descriptors)
+        # before any of them changes (``oracle.insert`` checks its own
+        # range before it counts a row).
         self.lookup.projections.check_range(descriptors)
         start = time.perf_counter()
+        self.oracle.insert(descriptors)
         start_row = self.num_mappings
         self._descriptors.append(descriptors)
         self._positions.append(positions_3d)
-        self.oracle.insert(descriptors)
         self.lookup.insert(
             descriptors, np.arange(start_row, start_row + descriptors.shape[0])
         )
@@ -258,8 +257,8 @@ class VisualPrintServer:
         leg end to end.  The span is this call's only timer: its duration
         lands in the ``span_localize_seconds`` sketch.
         """
-        with self.tracer.span(
-            "localize", frame_index=fingerprint.frame_index
+        with trace_span(
+            "localize", registry=self._registry, frame_index=fingerprint.frame_index
         ) as span:
             answer = self._localize(fingerprint)
             span.set("matched_points", answer.matched_points)

@@ -23,6 +23,7 @@ from repro.network import (
     RetryPolicy,
     simulate_stream,
 )
+from repro.obs import trace_span
 from repro.parallel import get_shared, parallel_map
 
 __all__ = ["run", "main"]
@@ -46,7 +47,7 @@ def _fingerprint_frame(item: tuple, client: VisualPrintClient) -> int:
     one trace per frame, mirroring :meth:`VisualPrintClient.process_frame`.
     """
     frame_index, keypoints = item
-    with client.tracer.span("frame", frame_index=frame_index):
+    with trace_span("frame", registry=client.metrics, frame_index=frame_index):
         return client.fingerprint_keypoints(
             keypoints, frame_index=frame_index
         ).upload_bytes

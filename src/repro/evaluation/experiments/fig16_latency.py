@@ -65,7 +65,7 @@ def _process_frame(frame: int, context: tuple) -> tuple:
     scene = frame % library.num_scenes
     view = frame % library.views_per_scene
     fingerprint = client.process_frame(library.query_view(scene, view), frame)
-    root = client.tracer.last_root()
+    root = client.last_frame_span
     oracle = root.child("oracle")
     return (
         fingerprint.upload_bytes,

@@ -51,7 +51,7 @@ def _measure_frame(
     fingerprint = client.process_frame(image, frame_index)
     # Per-frame stage timings come from the client's trace: the
     # "frame" root span nests one "sift" and one "oracle" child.
-    frame_span = client.tracer.last_root()
+    frame_span = client.last_frame_span
     compute = (
         frame_span.child("sift").duration_seconds
         + frame_span.child("oracle").duration_seconds

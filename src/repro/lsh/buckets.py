@@ -45,7 +45,11 @@ class QuantizedBuckets:
         buckets = np.asarray(buckets, dtype=np.int64)
         if buckets.ndim != 3:
             raise ValueError(f"buckets must be (n, L, M), got shape {buckets.shape}")
-        if np.any(np.abs(buckets) >= _BUCKET_BIAS):
+        # Signed bounds, not np.abs: a non-finite projection casts to
+        # INT64_MIN, whose absolute value wraps back to INT64_MIN.
+        if buckets.size and (
+            buckets.max() >= _BUCKET_BIAS or buckets.min() <= -_BUCKET_BIAS
+        ):
             raise ValueError(
                 "bucket indices exceed the +/-2^20 encoding range; "
                 "quantization width W is implausibly small"

@@ -123,6 +123,8 @@ class StableProjections:
         norms = np.einsum("ij,ij->i", descriptors, descriptors, dtype=np.float64)
         unclear = ~(np.sqrt(norms) <= limit)
         if unclear.any():
+            if not np.isfinite(norms[unclear]).all():
+                raise ValueError("descriptors must be finite")
             QuantizedBuckets(self.quantize(descriptors[unclear]))
 
     def quantize(self, descriptors: np.ndarray) -> np.ndarray:

@@ -17,7 +17,6 @@ from repro.network.faults import (
     FaultSpec,
     FaultyChannel,
     RetryPolicy,
-    SubmissionOutcome,
     TransferError,
     TransferOutcome,
     submit_payload,
@@ -46,7 +45,6 @@ __all__ = [
     "LinkQualityEstimator",
     "OffloadDecision",
     "RetryPolicy",
-    "SubmissionOutcome",
     "TransferError",
     "TransferOutcome",
     "UplinkChannel",

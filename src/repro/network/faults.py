@@ -51,7 +51,6 @@ __all__ = [
     "FaultSpec",
     "FaultyChannel",
     "RetryPolicy",
-    "SubmissionOutcome",
     "TransferError",
     "TransferOutcome",
     "submit_payload",
@@ -489,9 +488,8 @@ class TransferOutcome:
 
     Carries the full per-attempt history (``attempt_records``) so callers
     — the adaptive policy above all — never re-derive attempt kinds from
-    metrics deltas.  The legacy :class:`SubmissionOutcome` scalar shape
-    (``attempts`` / ``retries`` / ``latency_seconds`` / ...) survives as
-    thin properties over the records.
+    metrics deltas.  The scalar views (``attempts`` / ``retries`` /
+    ``latency_seconds`` / ...) are thin properties over the records.
     """
 
     status: str  # "delivered" | "degraded" | "abandoned"
@@ -552,10 +550,6 @@ class TransferOutcome:
         if not self.attempt_records:
             return 0
         return self.attempt_records[-1].rung
-
-
-#: Backwards-compatible alias — PR 4 callers imported this name.
-SubmissionOutcome = TransferOutcome
 
 
 def submit_payload(

@@ -2,11 +2,11 @@
 
 Dependency-free metrics (:class:`Counter` / :class:`Gauge` /
 :class:`QuantileSketch` in a :class:`MetricsRegistry`), request-scoped
-tracing (:class:`Span` trees with ``trace_id`` identity, propagated via
-:class:`TraceContext` and gathered by a :class:`TraceCollector`), a
-:class:`FlightRecorder` retaining the slowest query traces, exporters
-(JSON / Prometheus text / Chrome trace-event JSON / NDJSON), and a
-metrics snapshot differ (:func:`diff_metrics`) behind the
+tracing (:class:`Span` trees opened with :func:`trace_span`, carrying
+``trace_id`` identity, propagated via :class:`TraceContext` and kept by
+a :class:`TraceCollector`; :func:`slowest_traces` picks the tail out of
+it), exporters (JSON / Prometheus text / Chrome trace-event JSON /
+NDJSON), and a metrics snapshot differ (:func:`diff_metrics`) behind the
 ``metrics-diff`` CLI gate.  The offload pipeline — client, oracle,
 server, uplink — reports into whichever registry is current (see
 :func:`use_registry`), which is how ``python -m repro <experiment>
@@ -46,7 +46,6 @@ from repro.obs.export import (
     write_chrome_trace,
     write_ndjson,
 )
-from repro.obs.flightrecorder import FlightRecorder, format_trace
 from repro.obs.metrics import (
     DEFAULT_MAX_LABEL_SETS,
     Counter,
@@ -70,13 +69,14 @@ from repro.obs.tracing import (
     Span,
     TraceCollector,
     TraceContext,
-    Tracer,
     current_collector,
     current_span,
     current_trace_context,
+    format_trace,
     group_traces,
     isolated_trace_state,
     record_span,
+    slowest_traces,
     trace_span,
     use_collector,
     use_trace_context,
@@ -87,7 +87,6 @@ __all__ = [
     "DEFAULT_MAX_LABEL_SETS",
     "DEFAULT_QUANTILES",
     "EventLog",
-    "FlightRecorder",
     "Gauge",
     "MetricViolation",
     "MetricsRegistry",
@@ -98,7 +97,6 @@ __all__ = [
     "Span",
     "TraceCollector",
     "TraceContext",
-    "Tracer",
     "chrome_trace_events",
     "current_collector",
     "current_event_log",
@@ -122,6 +120,7 @@ __all__ = [
     "resolve_registry",
     "run_top",
     "scalar_samples",
+    "slowest_traces",
     "span_records",
     "trace_span",
     "use_collector",

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 import threading
-import warnings
 from contextlib import contextmanager
 from typing import Any, Iterator
 
@@ -299,21 +298,6 @@ class MetricsRegistry:
             QuantileSketch, name, help, labels,
             relative_accuracy=relative_accuracy,
         )
-
-    def histogram(
-        self, name: str, help: str = "", buckets: object = None, **labels: str
-    ) -> QuantileSketch:
-        """Deprecated: the reservoir histogram is gone; use :meth:`sketch`.
-
-        Returns the same-named sketch (``buckets`` is ignored: sketches
-        need no bucket bounds).  Kept for one release.
-        """
-        warnings.warn(
-            "MetricsRegistry.histogram() is deprecated; use sketch()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.sketch(name, help, **labels)
 
     # -- introspection / export ----------------------------------------
 

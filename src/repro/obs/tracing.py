@@ -9,9 +9,9 @@ processes — can be stitched back into one per-query trace.
 
 Three cooperating pieces:
 
-* :class:`Tracer` — creates and nests spans.  The active-span stack is
-  **process-wide** (module level), so a span opened by one component
-  while another component's span is active nests under it
+* :func:`trace_span` — the one way to open a span.  The active-span
+  stack is **process-wide** (module level), so a span opened by one
+  component while another component's span is active nests under it
   automatically; one query flows through the whole offload path as one
   tree.  (The pipeline parallelizes across processes, never across
   threads, so a single stack per process is exact.)
@@ -25,7 +25,9 @@ Three cooperating pieces:
   (mirroring :func:`repro.obs.use_registry`) that receives every
   finished local-root span; :mod:`repro.parallel` ships worker
   collectors back to the parent so ``workers=N`` runs lose no trace
-  data.
+  data.  It is the one place finished spans are kept: a span opened
+  with no collector installed is timed into its sketch and then
+  dropped.
 
 Durations come from ``perf_counter`` (monotonic); cross-process
 ordering and export timestamps come from ``start_unix`` (epoch
@@ -51,19 +53,18 @@ __all__ = [
     "Span",
     "TraceCollector",
     "TraceContext",
-    "Tracer",
     "current_collector",
     "current_span",
     "current_trace_context",
+    "format_trace",
     "group_traces",
     "isolated_trace_state",
     "record_span",
+    "slowest_traces",
     "trace_span",
     "use_collector",
     "use_trace_context",
 ]
-
-_MAX_RETAINED_ROOTS = 256
 
 # Monotonic per-process id source.  Ids are "<pid>-<counter>" in hex:
 # pool workers fork *after* the parent has minted ids, so the counter
@@ -229,7 +230,7 @@ class Span:
 # Process-wide propagation state
 # ---------------------------------------------------------------------------
 
-# The active-span stack: shared by every Tracer in the process so spans
+# The active-span stack: shared by every span in the process so spans
 # from different components nest into one tree.  LIFO discipline is
 # guaranteed by the with-blocks that push/pop.
 _ACTIVE_SPANS: list[Span] = []
@@ -343,72 +344,17 @@ def _mirror_duration(span: Span, registry: MetricsRegistry | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-class Tracer:
-    """Creates and nests spans; mirrors durations into a registry.
-
-    ``roots`` retains this tracer's finished local-root spans (bounded
-    at ``max_retained_roots``; trims increment the
-    ``tracer_roots_dropped_total`` counter so retention loss is never
-    silent).  Spans that nest under another component's open span do
-    not appear in ``roots`` — they appear in the owning trace's tree.
-    """
-
-    def __init__(
-        self,
-        registry: MetricsRegistry | None = None,
-        max_retained_roots: int = _MAX_RETAINED_ROOTS,
-    ) -> None:
-        self.registry = registry
-        self.roots: list[Span] = []
-        self.max_retained_roots = int(max_retained_roots)
-        self.roots_dropped = 0
-
-    @property
-    def current(self) -> Span | None:
-        return current_span()
-
-    @contextmanager
-    def span(self, name: str, **attributes: Any) -> Iterator[Span]:
-        span, parent = _open_span(name, attributes)
-        _ACTIVE_SPANS.append(span)
-        try:
-            yield span
-        finally:
-            _ACTIVE_SPANS.pop()
-            span.finish()
-            if parent is None:
-                self.roots.append(span)
-                if len(self.roots) > self.max_retained_roots:
-                    dropped = len(self.roots) - self.max_retained_roots
-                    del self.roots[:dropped]
-                    self.roots_dropped += dropped
-                    if self.registry is not None:
-                        self.registry.counter(
-                            "tracer_roots_dropped_total",
-                            help="finished root spans trimmed from Tracer.roots",
-                        ).inc(dropped)
-                _deliver_root(span)
-            _mirror_duration(span, self.registry)
-
-    def last_root(self) -> Span | None:
-        return self.roots[-1] if self.roots else None
-
-    def last_context(self) -> TraceContext | None:
-        """The most recent root span's :class:`TraceContext`, if any."""
-        root = self.last_root()
-        return root.context if root is not None else None
-
-
 @contextmanager
 def trace_span(
     name: str, registry: MetricsRegistry | None = None, **attributes: Any
 ) -> Iterator[Span]:
-    """A span without a component :class:`Tracer` (drivers, pool workers).
+    """Time the block as a span named ``name``.
 
-    Links like any tracer span (active span > ambient context > new
-    trace); local roots go to the current collector.  Durations mirror
-    into ``registry`` (default: the contextual registry, if any) —
-    there is no per-tracer root retention, the collector is the sink.
+    The span links to the active span, else to the ambient
+    :class:`TraceContext`, else starts a new trace; a local root goes to
+    the current collector.  The duration mirrors into ``registry``
+    (components pass their own; default: the contextual registry, if
+    any) as the ``span_<name>_seconds`` sketch.
     """
     span, parent = _open_span(name, attributes)
     _ACTIVE_SPANS.append(span)
@@ -510,6 +456,42 @@ def group_traces(roots: Iterator[Span] | list[Span]) -> list[QueryTrace]:
     for root in roots:
         grouped.setdefault(root.trace_id, []).append(root)
     return [QueryTrace(trace_id=tid, roots=spans) for tid, spans in grouped.items()]
+
+
+def slowest_traces(traces: list[QueryTrace], k: int) -> list[QueryTrace]:
+    """The ``k`` slowest traces, slowest first; ties keep first-seen order.
+
+    Slowness is :attr:`QueryTrace.duration_seconds`, the query's busy
+    time: *simulated* spans (the channel model's transfer seconds) count
+    as they would on a real uplink, idle wall-clock between a query's
+    legs does not.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return sorted(traces, key=lambda trace: -trace.duration_seconds)[:k]
+
+
+def _format_span(span: Span, depth: int, lines: list[str]) -> None:
+    attrs = ""
+    if span.attributes:
+        inner = ", ".join(f"{k}={v}" for k, v in span.attributes.items())
+        attrs = f"  [{inner}]"
+    lines.append(
+        f"{'  ' * depth}{span.name} {span.duration_seconds * 1e3:.3f} ms{attrs}"
+    )
+    for child in span.children:
+        _format_span(child, depth + 1, lines)
+
+
+def format_trace(trace: QueryTrace) -> str:
+    """Human-readable span-tree rendering of one query trace."""
+    lines = [
+        f"trace {trace.trace_id}: {trace.duration_seconds * 1e3:.3f} ms, "
+        f"{trace.num_spans} spans in {len(trace.roots)} roots"
+    ]
+    for root in trace.roots:
+        _format_span(root, 1, lines)
+    return "\n".join(lines)
 
 
 class TraceCollector:

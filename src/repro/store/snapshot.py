@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.bloom.container import SnapshotCorruptError
-from repro.obs import MetricsRegistry, Tracer, resolve_registry
+from repro.obs import MetricsRegistry, resolve_registry, trace_span
 from repro.store.faults import StorageFaultInjector
 from repro.store.integrity import CHECKSUM_ALGO, checksum_bytes, checksum_named
 
@@ -130,7 +130,6 @@ class SnapshotStore:
         self.keep_generations = int(keep_generations)
         self.fault_injector = fault_injector
         self._registry = resolve_registry(registry)
-        self.tracer = Tracer(self._registry)
         self._m_saves = self._registry.counter(
             "store_saves_total", help="snapshot generations committed"
         )
@@ -207,7 +206,7 @@ class SnapshotStore:
         for name in sections:
             if not _SECTION_PATTERN.match(name) or name == MANIFEST_NAME:
                 raise ValueError(f"invalid section name {name!r}")
-        with self.tracer.span("store.save", sections=len(sections)):
+        with trace_span("store.save", registry=self._registry, sections=len(sections)):
             self.root.mkdir(parents=True, exist_ok=True)
             self._sweep_temp_dirs()
             generation = (self.latest_generation() or 0) + 1
@@ -381,7 +380,7 @@ class SnapshotStore:
 
     def verify(self) -> list[VerifyReport]:
         """Audit every retained generation, oldest first."""
-        with self.tracer.span("store.verify"):
+        with trace_span("store.verify", registry=self._registry):
             return [self.verify_generation(g) for g in self.generations()]
 
     def load(self) -> LoadedSnapshot:
@@ -391,7 +390,7 @@ class SnapshotStore:
         Raises :class:`SnapshotCorruptError` when no generation (or none
         at all) survives verification — unrecoverable; rebuild upstream.
         """
-        with self.tracer.span("store.load") as span:
+        with trace_span("store.load", registry=self._registry) as span:
             generations = self.generations()
             skipped: list[VerifyReport] = []
             for generation in reversed(generations):

@@ -15,7 +15,6 @@ from repro.util.sizes import (
     gzip_size,
     ndarray_nbytes,
 )
-from repro.util.timing import Stopwatch, time_call
 from repro.util.validation import (
     check_in_range,
     check_positive,
@@ -27,7 +26,6 @@ __all__ = [
     "GIB",
     "KIB",
     "MIB",
-    "Stopwatch",
     "check_in_range",
     "check_positive",
     "check_probability",
@@ -38,5 +36,4 @@ __all__ = [
     "ndarray_nbytes",
     "rng_for",
     "spawn_children",
-    "time_call",
 ]

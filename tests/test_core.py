@@ -112,6 +112,33 @@ class TestOracle:
         oracle.insert(descriptors_1k[:64])
         assert oracle.inserted_count == 64
 
+    # Casting a non-finite projection to int64 warns before the range
+    # check rejects it.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_row_rejected_untouched(self, config, descriptors_1k, value):
+        oracle = UniquenessOracle(config)
+        oracle.insert(descriptors_1k[:64])
+        counters = oracle.counting.counters.copy()
+        bits = oracle.verification.packed_bytes()
+        with pytest.raises(ValueError):
+            oracle.insert(np.full((1, 128), value, np.float32))
+        assert oracle.inserted_count == 64
+        assert np.array_equal(oracle.counting.counters, counters)
+        assert oracle.verification.packed_bytes() == bits
+
+    def test_bad_late_batch_rejects_whole_insert(self, config, descriptors_1k):
+        oracle = UniquenessOracle(config)
+        counters = oracle.counting.counters.copy()
+        bits = oracle.verification.packed_bytes()
+        rows = descriptors_1k[:300].copy()
+        rows[250] = 1e12
+        with pytest.raises(ValueError):
+            oracle.insert(rows, batch_size=100)
+        assert oracle.inserted_count == 0
+        assert np.array_equal(oracle.counting.counters, counters)
+        assert oracle.verification.packed_bytes() == bits
+
     def test_snapshot_roundtrip_counts(self, trained_oracle):
         from repro.bloom import deserialize_counting
 

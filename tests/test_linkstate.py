@@ -11,8 +11,9 @@ The load-bearing properties:
 * path selection is hysteretic — flapping is bounded by the dwell
   window even under adversarially alternating scores;
 * :func:`submit_payload` returns a :class:`TransferOutcome` whose
-  legacy scalar properties reproduce the old ``SubmissionOutcome``
-  shape, and ``FaultyChannel`` emits outage-transition events;
+  scalar properties (attempts, retries, latency, wasted bytes) are
+  views over its attempt records, and ``FaultyChannel`` emits
+  outage-transition events;
 * the adaptive experiment improves wasted bytes deterministically.
 """
 
@@ -31,9 +32,7 @@ from repro.network import (
     FaultyChannel,
     LinkQualityEstimator,
     RetryPolicy,
-    SubmissionOutcome,
     TransferError,
-    TransferOutcome,
     UplinkChannel,
     submit_payload,
 )
@@ -404,9 +403,6 @@ class TestPathSelection:
 
 
 class TestTransferOutcome:
-    def test_submission_outcome_is_alias(self):
-        assert SubmissionOutcome is TransferOutcome
-
     def test_clean_delivery_shape(self):
         channel = FaultyChannel(_channel(), FaultSpec())
         outcome = submit_payload(channel, [1000, 500])

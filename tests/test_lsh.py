@@ -236,6 +236,22 @@ class TestLshIndex:
         queries = descriptors_1k[::50]
         assert index.query_batch(queries, 3) == untouched.query_batch(queries, 3)
 
+    # Casting a non-finite projection to int64 warns before the range
+    # check rejects it.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_row_rejected_untouched(self, descriptors_1k, value):
+        index = LshIndex(E2LSHParams(), seed=1)
+        index.insert(descriptors_1k[:500], np.arange(500))
+        memory = index.memory_bytes()
+        queries = descriptors_1k[::50]
+        before = index.query_batch(queries, 3)
+        with pytest.raises(ValueError):
+            index.insert(np.full((1, 128), value, np.float32), np.array([500]))
+        assert index.size == 500
+        assert index.memory_bytes() == memory
+        assert index.query_batch(queries, 3) == before
+
     def test_payload_ids_returned(self, descriptors_1k):
         idx = LshIndex(E2LSHParams(num_tables=4), seed=2)
         ids = np.arange(1000) * 7  # arbitrary payload ids

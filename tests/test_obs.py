@@ -25,9 +25,12 @@ from repro.obs import (
     Counter,
     MetricsRegistry,
     QuantileSketch,
-    Tracer,
+    TraceCollector,
     current_registry,
+    current_span,
     parse_prometheus,
+    trace_span,
+    use_collector,
     use_registry,
 )
 from repro.wardrive.environment import random_sift_descriptor
@@ -101,19 +104,11 @@ class TestCounterGauge:
 
 
 class TestHistogram:
-    """``MetricsRegistry.histogram()``: the deprecated accessor, now a sketch."""
+    """A latency distribution from ``MetricsRegistry.sketch()``."""
 
     def _histogram(self, registry: MetricsRegistry | None = None):
         registry = MetricsRegistry() if registry is None else registry
-        with pytest.warns(DeprecationWarning, match="use sketch"):
-            return registry.histogram("h", buckets=(1.0, 2.0))
-
-    def test_histogram_warns_and_returns_same_named_sketch(self):
-        registry = MetricsRegistry()
-        histogram = self._histogram(registry)
-        assert isinstance(histogram, QuantileSketch)
-        assert histogram is registry.sketch("h")
-        assert "histograms" not in registry.to_dict()
+        return registry.sketch("h")
 
     def test_quantiles_on_known_distribution(self):
         histogram = self._histogram()
@@ -207,12 +202,11 @@ class TestJsonSnapshot:
 
 class TestSpans:
     def test_nesting_and_durations(self):
-        tracer = Tracer()
-        with tracer.span("frame") as frame:
-            with tracer.span("sift"):
+        with trace_span("frame") as frame:
+            with trace_span("sift"):
                 pass
-            with tracer.span("oracle") as oracle_span:
-                with tracer.span("quantize"):
+            with trace_span("oracle") as oracle_span:
+                with trace_span("quantize"):
                     pass
         assert [child.name for child in frame.children] == ["sift", "oracle"]
         assert oracle_span.child("quantize") is not None
@@ -220,12 +214,10 @@ class TestSpans:
         assert frame.duration_seconds >= sum(
             child.duration_seconds for child in frame.children
         ) * 0.5  # children nest inside the parent's wall-clock
-        assert tracer.last_root() is frame
-        assert tracer.current is None
+        assert current_span() is None
 
     def test_span_attributes_and_dict(self):
-        tracer = Tracer()
-        with tracer.span("frame", frame_index=3) as span:
+        with trace_span("frame", frame_index=3) as span:
             span.set("keypoints", 42)
         tree = span.to_dict()
         assert tree["attributes"] == {"frame_index": 3, "keypoints": 42}
@@ -233,20 +225,20 @@ class TestSpans:
 
     def test_tracer_mirrors_into_registry(self):
         registry = MetricsRegistry()
-        tracer = Tracer(registry)
-        with tracer.span("frame"):
-            with tracer.span("sift"):
+        with trace_span("frame", registry=registry):
+            with trace_span("sift", registry=registry):
                 pass
         assert registry.sketch("span_frame_seconds").count == 1
         assert registry.sketch("span_sift_seconds").count == 1
 
     def test_sibling_roots_are_retained_in_order(self):
-        tracer = Tracer()
-        with tracer.span("a"):
-            pass
-        with tracer.span("b"):
-            pass
-        assert [root.name for root in tracer.roots] == ["a", "b"]
+        collector = TraceCollector()
+        with use_collector(collector):
+            with trace_span("a"):
+                pass
+            with trace_span("b"):
+                pass
+        assert [root.name for root in collector.roots] == ["a", "b"]
 
 
 class TestContextualRegistry:
@@ -311,7 +303,7 @@ class TestClientMetricsApi:
         client = VisualPrintClient(trained_oracle, config)
         image = np.zeros((32, 32), dtype=np.float64)
         client.process_frame(image, frame_index=5)
-        root = client.tracer.last_root()
+        root = client.last_frame_span
         assert root.name == "frame"
         assert root.attributes["frame_index"] == 5
         assert root.child("sift") is not None

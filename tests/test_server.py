@@ -64,6 +64,21 @@ class TestIngest:
             server.ingest(descriptors[:2], np.zeros((2, 2)))
         assert server.num_mappings == server.lookup.size == 120
 
+    # Casting a non-finite projection to int64 warns before the range
+    # check rejects it.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_row_rejected_untouched(self, rng, value):
+        server = VisualPrintServer(VisualPrintConfig(descriptor_capacity=1024))
+        descriptors = np.array([random_sift_descriptor(rng) for _ in range(120)])
+        server.ingest(descriptors, rng.uniform(0, 10, (120, 3)))
+        counters = server.oracle.counting.counters.copy()
+        with pytest.raises(ValueError):
+            server.ingest(np.full((1, 128), value), np.zeros((1, 3)))
+        assert server.num_mappings == server.positions.shape[0] == 120
+        assert server.lookup.size == server.oracle.inserted_count == 120
+        assert np.array_equal(server.oracle.counting.counters, counters)
+
     def test_oracle_curated_during_ingest(self, populated_server):
         server, descriptors, _ = populated_server
         assert server.oracle.inserted_count == descriptors.shape[0]

@@ -24,7 +24,6 @@ from repro.obs import (
     MetricsRegistry,
     SloObjective,
     SloTracker,
-    Tracer,
     current_event_log,
     current_slo_tracker,
     default_objectives,
@@ -32,6 +31,7 @@ from repro.obs import (
     parse_metric_key,
     render_dashboard,
     run_top,
+    trace_span,
     use_event_log,
     use_slo_tracker,
 )
@@ -286,9 +286,8 @@ class TestEventLog:
 
     def test_trace_correlation(self):
         registry = MetricsRegistry()
-        tracer = Tracer(registry=registry)
         log = EventLog()
-        with tracer.span("frame") as span:
+        with trace_span("frame", registry=registry) as span:
             record = log.emit("degrade.step")
         assert record["trace_id"] == span.trace_id
         assert record["span_id"] == span.span_id
@@ -413,7 +412,7 @@ class TestTopRenderer:
 
     def test_render_dashboard_client_row_reads_frame_span(self):
         registry = MetricsRegistry()
-        with Tracer(registry).span("frame"):
+        with trace_span("frame", registry=registry):
             pass
         text = render_dashboard(registry.to_dict())
         assert "frames=1" in text

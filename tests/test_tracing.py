@@ -1,24 +1,30 @@
 """Tests for end-to-end query tracing (repro.obs tracing layer).
 
 Covers: span identity and (de)serialization, context propagation across
-the client / channel / oracle / server legs, Tracer root retention and
-its drop counter, the TraceCollector state protocol, record_span's
-simulated durations, cross-worker span ship-back through
-``repro.parallel`` (workers=1 vs workers=2 parity on a real fig16 run),
-the flight recorder's slowest-K retention, the Chrome trace-event and
-NDJSON exporters (schema validation), and the metrics-diff perf gate —
-as a library call and through the CLI with exit codes.
+the client / channel / oracle / server legs, the TraceCollector state
+protocol, record_span's simulated durations, cross-worker span
+ship-back through ``repro.parallel`` (workers=1 vs workers=2 parity on
+a real fig16 run), the flight recorder's slowest-K pick, span trees
+that do not depend on the hash seed, the Chrome trace-event and NDJSON
+exporters (schema validation), and the metrics-diff perf gate — as a
+library call and through the CLI with exit codes.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
+import subprocess
+import sys
 from collections import Counter as TallyCounter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.cli import main
+import repro
+from repro.cli import _write_traces, main
 from repro.core import (
     UniquenessOracle,
     VisualPrintClient,
@@ -28,12 +34,10 @@ from repro.core import (
 from repro.evaluation.experiments import fig16_latency
 from repro.network import UplinkChannel
 from repro.obs import (
-    FlightRecorder,
     MetricsRegistry,
     Span,
     TraceCollector,
     TraceContext,
-    Tracer,
     chrome_trace_events,
     current_span,
     diff_metrics,
@@ -41,6 +45,7 @@ from repro.obs import (
     group_traces,
     isolated_trace_state,
     record_span,
+    slowest_traces,
     span_records,
     trace_span,
     use_collector,
@@ -64,14 +69,12 @@ def _trace_with_duration(duration: float, tag: str):
 
 class TestSpanIdentity:
     def test_ids_unique_and_linked(self):
-        tracer = Tracer()
-        with tracer.span("frame") as frame:
-            with tracer.span("sift") as sift:
+        with trace_span("frame") as frame:
+            with trace_span("sift") as sift:
                 assert sift.trace_id == frame.trace_id
                 assert sift.parent_id == frame.span_id
                 assert sift.span_id != frame.span_id
-        other = Tracer()
-        with other.span("frame") as second:
+        with trace_span("frame") as second:
             assert second.trace_id != frame.trace_id
 
     def test_context_property(self):
@@ -80,9 +83,8 @@ class TestSpanIdentity:
         assert context == TraceContext(trace_id=span.trace_id, span_id=span.span_id)
 
     def test_dict_round_trip(self):
-        tracer = Tracer()
-        with tracer.span("frame", frame_index=3) as frame:
-            with tracer.span("sift"):
+        with trace_span("frame", frame_index=3) as frame:
+            with trace_span("sift"):
                 pass
             frame.set("kept", 20)
         rebuilt = Span.from_dict(frame.to_dict())
@@ -152,28 +154,6 @@ class TestPropagation:
             with trace_span("oracle.lookup_batch"):
                 pass
         assert registry.sketch("span_oracle_lookup_batch_seconds").count == 1
-
-
-class TestTracerRetention:
-    def test_roots_bounded_and_drops_counted(self):
-        registry = MetricsRegistry()
-        tracer = Tracer(registry, max_retained_roots=3)
-        for index in range(5):
-            with tracer.span("frame", frame_index=index):
-                pass
-        assert len(tracer.roots) == 3
-        assert [r.attributes["frame_index"] for r in tracer.roots] == [2, 3, 4]
-        assert tracer.roots_dropped == 2
-        assert registry.counter("tracer_roots_dropped_total").value == 2
-
-    def test_collector_still_sees_dropped_roots(self):
-        collector = TraceCollector()
-        tracer = Tracer(max_retained_roots=1)
-        with use_collector(collector):
-            for _ in range(4):
-                with tracer.span("frame"):
-                    pass
-        assert len(collector.roots) == 4
 
 
 class TestRecordSpan:
@@ -261,7 +241,7 @@ class TestEndToEndTrace:
             collector.clear()  # keep only the query's trace
 
             fingerprint = client.process_frame(small_library.query_view(0, 0))
-            context = client.tracer.last_context()
+            context = client.last_frame_span.context
             channel = UplinkChannel("t", bandwidth_mbps=8.0, jitter_sigma=0.0)
             with use_trace_context(context):
                 channel.transfer_seconds(fingerprint.upload_bytes)
@@ -337,37 +317,116 @@ class TestPoolTraceShipBack:
         assert (result["sift_seconds"] > 0).all()
 
 
+_OFFLOAD_TREE_SCRIPT = """
+import json
+import numpy as np
+from repro.core import VisualPrintClient
+from repro.imaging.synth import SceneLibrary
+from repro.network import CHANNEL_PRESETS, FaultyChannel
+from repro.obs import TraceCollector, use_collector, use_trace_context
+from repro.serving.synthetic import synthetic_venue_server
+
+def tree(span, frame_id):
+    link = "frame" if span.parent_id == frame_id else span.parent_id is None
+    return [span.name, link, sorted(span.attributes),
+            [tree(child, frame_id) for child in span.children]]
+
+server = synthetic_venue_server(np.random.default_rng(3))
+client = VisualPrintClient(server.publish_oracle())
+library = SceneLibrary(seed=3, num_scenes=2, num_distractors=2, size=(96, 96))
+channel = FaultyChannel(CHANNEL_PRESETS["lte"], loss=0.3, seed=1)
+collector = TraceCollector()
+with use_collector(collector):
+    report = client.offload_frame(
+        library.scene(0), channel, rng=np.random.default_rng(5)
+    )
+    with use_trace_context(client.last_frame_span.context):
+        server.localize(report.fingerprint)
+frame_id = client.last_frame_span.span_id
+assert len(collector.traces()) == 1
+print(json.dumps([tree(root, frame_id) for root in collector.roots]))
+"""
+
+
+class TestSpanTreeAcrossHashSeeds:
+    def test_offload_tree_identical_under_hash_seeds(self):
+        """One offload query's span tree (names, links, attribute keys)
+        must not depend on the str hash salt of the process."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        trees = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-c", _OFFLOAD_TREE_SCRIPT],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            trees.append(json.loads(done.stdout))
+        assert trees[0] == trees[1]
+        names = [root[0] for root in trees[0]]
+        assert names[0] == "frame"
+        assert {"network.fault", "network.transfer", "localize"} <= set(names)
+        assert [child[0] for child in trees[0][0][3]] == ["sift", "oracle", "serialize"]
+        assert all(root[1] == "frame" for root in trees[0][1:])
+
+
 class TestFlightRecorder:
+    """``slowest_traces``: the flight recorder's pick over the collector."""
+
     def test_keeps_slowest_k(self):
-        registry = MetricsRegistry()
-        recorder = FlightRecorder(2, registry=registry)
-        for duration, tag in [(0.1, "a"), (0.5, "b"), (0.05, "c"), (0.3, "d")]:
-            recorder.observe(_trace_with_duration(duration, tag))
-        kept = recorder.slowest()
+        traces = [
+            _trace_with_duration(duration, tag)
+            for duration, tag in [(0.1, "a"), (0.5, "b"), (0.05, "c"), (0.3, "d")]
+        ]
+        kept = slowest_traces(traces, 2)
         assert [t.roots[0].attributes["tag"] for t in kept] == ["b", "d"]
         assert kept[0].duration_seconds >= kept[1].duration_seconds
-        assert recorder.evicted == 2
-        assert registry.counter("flight_recorder_evicted_total").value == 2
+        assert [t.roots[0].attributes["tag"] for t in slowest_traces(traces, 9)] == [
+            "b",
+            "d",
+            "a",
+            "c",
+        ]
+
+    def test_ties_go_to_first_seen(self):
+        traces = [
+            _trace_with_duration(duration, tag)
+            for duration, tag in [(0.1, "a"), (0.1, "b"), (0.2, "c"), (0.1, "d")]
+        ]
+        kept = slowest_traces(traces, 3)
+        assert [t.roots[0].attributes["tag"] for t in kept] == ["c", "a", "b"]
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
-            FlightRecorder(0)
+            slowest_traces([], 0)
 
-    def test_dump_mentions_traces(self):
-        recorder = FlightRecorder(3)
-        trace = _trace_with_duration(0.2, "x")
-        recorder.observe(trace)
-        dump = recorder.dump()
-        assert trace.trace_id in dump
-        assert "1/3 traces retained" in dump
-        assert trace.trace_id in format_trace(trace)
+    def test_dump_mentions_traces(self, capsys):
+        collector = TraceCollector()
+        collector.collect(_finished_span("q", 0.1))
+        collector.collect(_finished_span("q", 0.2))
+        fast, slow = collector.roots
+        for k, header in [
+            (3, "2/3 slowest traces retained, 0 evicted"),
+            (1, "1/1 slowest traces retained, 1 evicted"),
+        ]:
+            args = argparse.Namespace(
+                trace_out=None, trace_ndjson=None, flight_recorder=k
+            )
+            _write_traces(args, collector)
+            out = capsys.readouterr().out
+            assert header in out
+            assert slow.trace_id in out
+            assert (fast.trace_id in out) == (k > 1)
+        assert slow.trace_id in format_trace(collector.traces()[1])
 
     def test_to_dict_round_trips_json(self):
-        recorder = FlightRecorder(2)
-        recorder.observe_all([_trace_with_duration(0.1, "a")])
-        payload = json.loads(json.dumps(recorder.to_dict()))
-        assert payload["capacity"] == 2
-        assert len(payload["traces"]) == 1
+        kept = slowest_traces([_trace_with_duration(0.1, "a")], 2)
+        payload = json.loads(json.dumps([trace.to_dict() for trace in kept]))
+        assert len(payload) == 1
+        assert payload[0]["roots"][0]["attributes"] == {"tag": "a"}
 
 
 class TestExporters:

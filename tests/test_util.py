@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.util import (
-    Stopwatch,
     check_in_range,
     check_positive,
     check_probability,
@@ -19,7 +18,6 @@ from repro.util import (
     ndarray_nbytes,
     rng_for,
     spawn_children,
-    time_call,
 )
 
 
@@ -79,32 +77,6 @@ class TestSizes:
         a = np.zeros(10, dtype=np.float64)
         b = np.zeros(5, dtype=np.uint8)
         assert ndarray_nbytes(a, b) == 85
-
-
-class TestTiming:
-    def test_stopwatch_records(self):
-        watch = Stopwatch()
-        with watch.measure("stage"):
-            pass
-        assert watch.count("stage") == 1
-        assert watch.total("stage") >= 0
-
-    def test_stopwatch_accumulates(self):
-        watch = Stopwatch()
-        for _ in range(3):
-            with watch.measure("s"):
-                pass
-        assert watch.count("s") == 3
-        assert len(watch.samples("s")) == 3
-
-    def test_record_negative_raises(self):
-        with pytest.raises(ValueError):
-            Stopwatch().record("s", -1.0)
-
-    def test_time_call_returns_result(self):
-        result, elapsed = time_call(lambda x: x * 2, 21)
-        assert result == 42
-        assert elapsed >= 0
 
 
 class TestValidation:
