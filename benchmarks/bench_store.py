@@ -1,12 +1,7 @@
-"""Durable-state trajectory: snapshot-store cost and the verify budget.
+"""Durable-state trajectory: snapshot-store cost.
 
-Three measurements land in BENCH_store.json:
+Two measurements land in BENCH_store.json:
 
-* ``npz_verify_overhead`` — :func:`load_server` on a v2 state file (the
-  integrity-checked path) versus the same decompress-and-restore with
-  the checksum pass skipped.  The integrity pass must cost under 10% of
-  the bare load (the verify budget): decompression and the LSH rebuild
-  dominate, CRC is cheap, so detection is close to free.
 * ``generational_roundtrip`` — :class:`ServerStateStore` save+load
   wall-clock per generation (atomic staging, fsyncs, manifest, full
   verification on the way back in).
@@ -22,8 +17,7 @@ import time
 import numpy as np
 
 from repro.core import VisualPrintConfig, VisualPrintServer
-from repro.core import persistence
-from repro.core.persistence import ServerStateStore, load_server, save_server
+from repro.core.persistence import ServerStateStore
 from repro.store import StorageFaultInjector
 from repro.util.rng import rng_for
 from repro.wardrive.environment import random_sift_descriptor
@@ -54,59 +48,9 @@ def _min_seconds(run, repeats: int = _REPEATS) -> float:
     return best
 
 
-def test_npz_verify_overhead(store_trajectory, tmp_path, benchmark):
-    server = _benchmark_server()
-    path = tmp_path / "state.npz"
-    save_server(server, path)
-
-    def bare_load():
-        # The same decompress-and-restore work load_server does, minus
-        # the per-section checksum pass — the no-integrity baseline.
-        with np.load(path) as data:
-            entries = {name: data[name] for name in data.files}
-        config = persistence._config_from_json(bytes(entries["config_json"]))
-        bounds = (entries["bounds_low"].copy(), entries["bounds_high"].copy())
-        return persistence._restore_server(
-            config,
-            bounds,
-            entries["descriptors"],
-            entries["positions"],
-            entries["oracle_counters"],
-            bytes(entries["verification_bits"]),
-            int(entries["inserted_count"][0]),
-        )
-
-    bare_seconds = _min_seconds(bare_load)
-    benchmark.pedantic(lambda: load_server(path), rounds=_REPEATS, iterations=1)
-    verified_seconds = benchmark.stats.stats.min
-
-    overhead = (verified_seconds - bare_seconds) / max(bare_seconds, 1e-9)
-    # The verify budget: integrity checking must stay under 10% of the
-    # bare materialization cost.
-    assert overhead < 0.10, f"verify overhead {overhead:.1%} blows the 10% budget"
-    store_trajectory["npz_verify_overhead"] = {
-        "descriptors": _NUM_DESCRIPTORS,
-        "state_bytes": path.stat().st_size,
-        "bare_load_seconds": round(bare_seconds, 5),
-        "verified_load_seconds": round(verified_seconds, 5),
-        "overhead_ratio": round(overhead, 4),
-        "budget_ratio": 0.10,
-    }
-    print()
-    print(
-        f"  npz verify: +{overhead:.1%} over bare load "
-        f"({path.stat().st_size / 1e6:.2f} MB state)"
-    )
-
-
 def test_generational_roundtrip(store_trajectory, tmp_path, benchmark):
     server = _benchmark_server()
     root = tmp_path / "store"
-
-    flat = tmp_path / "flat.npz"
-    save_server(server, flat)
-    flat_save_seconds = _min_seconds(lambda: save_server(server, flat))
-    flat_load_seconds = _min_seconds(lambda: load_server(flat))
 
     def roundtrip():
         ServerStateStore(root).save(server)
@@ -121,15 +65,10 @@ def test_generational_roundtrip(store_trajectory, tmp_path, benchmark):
     store_trajectory["generational_roundtrip"] = {
         "descriptors": _NUM_DESCRIPTORS,
         "roundtrip_seconds": round(roundtrip_seconds, 5),
-        "flat_npz_save_seconds": round(flat_save_seconds, 5),
-        "flat_npz_load_seconds": round(flat_load_seconds, 5),
         "generations_kept": ServerStateStore(root).store.keep_generations,
     }
     print()
-    print(
-        f"  generational save+load: {roundtrip_seconds * 1e3:.1f} ms vs "
-        f"flat npz {(flat_save_seconds + flat_load_seconds) * 1e3:.1f} ms"
-    )
+    print(f"  generational save+load: {roundtrip_seconds * 1e3:.1f} ms")
 
 
 def test_rollback_scan(store_trajectory, tmp_path, benchmark):

@@ -2,11 +2,13 @@
 
 Runs next to the lossy fig13 smoke and gates the durability story:
 
-1. save a wardriven server to both a flat ``.npz`` and a generational
+1. save a wardriven server to a generational
    :class:`repro.core.persistence.ServerStateStore`;
-2. ``repro verify-state`` must exit 0 on both while clean;
-3. flip bytes in each with :class:`repro.store.StorageFaultInjector`;
-4. ``repro verify-state`` must now exit nonzero on both;
+2. ``repro verify-state`` must exit 0 on it while clean, and nonzero on
+   a plain file, which is not a store;
+3. flip bytes in the newest generation with
+   :class:`repro.store.StorageFaultInjector`;
+4. ``repro verify-state`` must now exit nonzero;
 5. the store must still *load* — rollback to the last-good generation
    recovers a server whose oracle counters match the saved state;
 6. ``--rebuild-venue`` must reconstruct an unrecoverable store.
@@ -25,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core import VisualPrintConfig, VisualPrintServer
-from repro.core.persistence import ServerStateStore, save_server
+from repro.core.persistence import ServerStateStore
 from repro.store import SnapshotCorruptError, StorageFaultInjector
 from repro.util.rng import rng_for
 from repro.wardrive.environment import random_sift_descriptor
@@ -62,23 +64,21 @@ def main(workdir: Path) -> int:
     server.ingest(descriptors, rng.uniform(0, 10, (150, 3)))
     saved_counters = server.oracle.counting.counters.copy()
 
-    npz_path = workdir / "state.npz"
     store_root = workdir / "store"
-    save_server(server, npz_path)
     store = ServerStateStore(store_root)
     store.save(server)
     newest = store.save(server)
 
-    check("clean npz verifies", verify_state_exit(npz_path) == 0)
     check("clean store verifies", verify_state_exit(store_root) == 0)
+    plain_file = workdir / "state.npz"
+    plain_file.write_bytes(b"not a snapshot store")
+    check("plain file exits nonzero", verify_state_exit(plain_file) != 0)
 
     injector = StorageFaultInjector(seed=7)
-    injector.corrupt_file(npz_path, kind="bit_flip")
     injector.corrupt_file(
         store_root / f"gen-{newest:06d}" / "counters.npy", kind="bit_flip"
     )
 
-    check("corrupt npz exits nonzero", verify_state_exit(npz_path) != 0)
     check("corrupt store exits nonzero", verify_state_exit(store_root) != 0)
 
     restored, loaded = ServerStateStore(store_root).load()

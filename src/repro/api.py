@@ -30,9 +30,10 @@ Transport & codecs
     paper's baselines upload with.
 
 Durability
-    :class:`SnapshotStore` / :class:`ServerStateStore` (crash-safe
-    generational snapshots), :class:`OracleRefresher` (client-side
-    delta/snapshot oracle downloads with swap-in validation).
+    :class:`ServerStateStore` over :class:`SnapshotStore` (crash-safe
+    generational snapshots, the one server-state format),
+    :class:`OracleRefresher` (client-side delta/snapshot oracle
+    downloads, checked in full before swap-in).
 
 Anything not exported here — and any module or attribute with a
 leading underscore — is internal and may change without a deprecation
@@ -53,7 +54,7 @@ from repro.core import (
     VisualPrintConfig,
     VisualPrintServer,
 )
-from repro.core.persistence import ServerStateStore, load_server, save_server
+from repro.core.persistence import ServerStateStore
 from repro.network import (
     CHANNEL_PRESETS,
     AdaptiveConfig,
@@ -103,6 +104,4 @@ __all__ = [
     "VisualPrintClient",
     "VisualPrintConfig",
     "VisualPrintServer",
-    "load_server",
-    "save_server",
 ]

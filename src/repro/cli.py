@@ -21,7 +21,7 @@ compares two ``--metrics-json`` snapshots against tolerance thresholds
 and exits nonzero on regression (see :mod:`repro.obs.diff`).
 
 ``python -m repro verify-state PATH`` is the integrity gate: it audits
-saved server state (an ``.npz`` file or a snapshot-store directory),
+saved server state (a snapshot-store directory),
 exits nonzero on any corruption, and with ``--rebuild-venue`` can
 reconstruct unrecoverable state from a fresh wardrive (see
 :mod:`repro.store.fsck`).
@@ -241,12 +241,10 @@ def _run_verify_state(argv: list[str]) -> int:
     """The ``verify-state`` subcommand: fsck for saved server state."""
     parser = argparse.ArgumentParser(
         prog="python -m repro verify-state",
-        description="Audit a saved-state .npz file or a SnapshotStore "
-        "directory; exit 0 only when every generation verifies.",
+        description="Audit a SnapshotStore directory; exit 0 only when "
+        "every generation verifies.",
     )
-    parser.add_argument(
-        "path", help="state file (.npz) or snapshot-store directory to audit"
-    )
+    parser.add_argument("path", help="snapshot-store directory to audit")
     parser.add_argument(
         "--rebuild-venue",
         default=None,

@@ -26,6 +26,7 @@ from repro.core.updates import (
     QuarantinedPayload,
     RefreshReport,
     apply_delta,
+    apply_snapshot,
     choose_refresh_payload,
     diff_counting_filters,
     parse_delta,
@@ -47,6 +48,7 @@ __all__ = [
     "VisualPrintServer",
     "VisualPrintConfig",
     "apply_delta",
+    "apply_snapshot",
     "choose_refresh_payload",
     "degradation_keep_counts",
     "diff_counting_filters",

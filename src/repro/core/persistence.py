@@ -1,35 +1,25 @@
 """Server-state persistence.
 
 A production VisualPrint cloud service survives restarts: the
-keypoint-to-3D table and the oracle are its only state.  Two formats
-are provided, both restoring an *equivalent* server — identical oracle
-counts and identical lookup results, verified in the test suite:
-
-* :func:`save_server` / :func:`load_server` — the single-file ``.npz``
-  format.  Since format v2 the file is written atomically (temp +
-  fsync + rename) and embeds per-section CRCs; :func:`load_server`
-  verifies them and raises
-  :class:`repro.bloom.SnapshotCorruptError` on any mismatch instead of
-  restoring a silently-wrong server.  v1 files (no checksums) still
-  load.
-* :class:`ServerStateStore` — the generational
-  :class:`repro.store.SnapshotStore` layout: atomic commits, manifest
-  checksums, retention, and automatic rollback to the newest
-  generation that verifies.  This is what ``repro verify-state``
-  audits and what deployments should use.
+keypoint-to-3D table and the oracle are its only state.
+:class:`ServerStateStore` keeps them in the generational
+:class:`repro.store.SnapshotStore` layout — atomic commits, manifest
+checksums, retention, and automatic rollback to the newest generation
+that verifies.  A restore yields an *equivalent* server (identical
+oracle counts and lookup results, verified in the test suite); every
+integrity failure raises :class:`repro.bloom.SnapshotCorruptError`
+instead of restoring a silently-wrong server.  ``repro verify-state``
+audits the same layout.
 
 Restores route through the public :meth:`VisualPrintServer.restore_state`
-and :meth:`UniquenessOracle.restore_counts` APIs — persistence no
-longer reaches into private server state.
+and :meth:`UniquenessOracle.restore_counts` APIs — persistence does not
+reach into private server state.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import os
-import zipfile
-import zlib
 from dataclasses import asdict
 from pathlib import Path
 
@@ -39,24 +29,11 @@ from repro.bloom.container import SnapshotCorruptError
 from repro.core.config import VisualPrintConfig
 from repro.core.server import VisualPrintServer
 from repro.lsh.projections import E2LSHParams
-from repro.store.integrity import CHECKSUM_ALGO, checksum_bytes, checksum_named
 from repro.store.snapshot import LoadedSnapshot, SnapshotStore
 
-__all__ = ["ServerStateStore", "load_server", "save_server"]
+__all__ = ["ServerStateStore"]
 
-_FORMAT_VERSION = 2
-
-#: npz entries covered by the embedded integrity record (v2+).
-_CHECKED_SECTIONS = (
-    "config_json",
-    "descriptors",
-    "positions",
-    "bounds_low",
-    "bounds_high",
-    "oracle_counters",
-    "verification_bits",
-    "inserted_count",
-)
+_STORE_STATE_VERSION = 1
 
 
 def _config_to_json(config: VisualPrintConfig) -> bytes:
@@ -72,169 +49,6 @@ def _config_from_json(payload: bytes) -> VisualPrintConfig:
         return VisualPrintConfig(lsh=lsh, **config_dict)
     except (UnicodeDecodeError, json.JSONDecodeError, TypeError, KeyError) as error:
         raise SnapshotCorruptError(f"saved configuration unparseable: {error}")
-
-
-def _server_arrays(server: VisualPrintServer) -> dict[str, np.ndarray]:
-    low, high = server.bounds()
-    descriptors = server.descriptors
-    return {
-        "config_json": np.frombuffer(_config_to_json(server.config), dtype=np.uint8),
-        "descriptors": descriptors,
-        "positions": server.positions,
-        "bounds_low": low,
-        "bounds_high": high,
-        "oracle_counters": server.oracle.counting.counters,
-        "verification_bits": np.frombuffer(
-            server.oracle.verification.packed_bytes(), dtype=np.uint8
-        ),
-        "inserted_count": np.array([server.oracle.inserted_count]),
-    }
-
-
-def save_server(server: VisualPrintServer, path: str | Path, fault_injector=None) -> None:
-    """Atomically write the server's full state to ``path`` (.npz).
-
-    The file only replaces a previous one after it is fully written and
-    fsynced; a crash mid-save leaves the old state intact.  Per-section
-    CRCs are embedded so :func:`load_server` can refuse corrupted state.
-    ``fault_injector`` (a :class:`repro.store.StorageFaultInjector`)
-    corrupts the bytes that hit the disk — for chaos tests only.
-    """
-    path = Path(path)
-    arrays = _server_arrays(server)
-    integrity = {
-        "algo": CHECKSUM_ALGO,
-        "sections": {
-            name: {
-                "crc": checksum_bytes(np.ascontiguousarray(array).tobytes()),
-                "bytes": int(np.ascontiguousarray(array).nbytes),
-                "dtype": str(array.dtype),
-                "shape": list(array.shape),
-            }
-            for name, array in arrays.items()
-        },
-    }
-    buffer = io.BytesIO()
-    np.savez_compressed(
-        buffer,
-        format_version=np.array([_FORMAT_VERSION]),
-        integrity_json=np.frombuffer(
-            json.dumps(integrity, sort_keys=True).encode("utf-8"), dtype=np.uint8
-        ),
-        **arrays,
-    )
-    data = buffer.getvalue()
-    if fault_injector is not None:
-        data, _ = fault_injector.mangle(data, label=f"npz/{path.name}")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp_path = path.parent / f".{path.name}.tmp-{os.getpid()}"
-    with open(tmp_path, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp_path, path)
-
-
-def _verify_npz_integrity(entries: dict[str, np.ndarray]) -> None:
-    try:
-        integrity = json.loads(bytes(entries["integrity_json"]).decode("utf-8"))
-        algo = integrity["algo"]
-        sections = integrity["sections"]
-    except (KeyError, UnicodeDecodeError, json.JSONDecodeError, TypeError) as error:
-        raise SnapshotCorruptError(f"state-file integrity record unparseable: {error}")
-    for name in _CHECKED_SECTIONS:
-        if name not in sections:
-            raise SnapshotCorruptError(
-                f"state-file integrity record misses section {name!r}"
-            )
-        array = entries[name]
-        expect = sections[name]
-        if list(array.shape) != list(expect.get("shape", [])) or str(
-            array.dtype
-        ) != expect.get("dtype"):
-            raise SnapshotCorruptError(
-                f"state-file section {name!r} shape/dtype drifted from its "
-                f"integrity record"
-            )
-        actual = checksum_named(algo, np.ascontiguousarray(array).tobytes())
-        if actual != int(expect.get("crc", -1)):
-            raise SnapshotCorruptError(
-                f"state-file section {name!r} failed its checksum "
-                f"(recorded {expect.get('crc')}, computed {actual})"
-            )
-
-
-def _restore_server(
-    config: VisualPrintConfig,
-    bounds: tuple[np.ndarray, np.ndarray],
-    descriptors: np.ndarray,
-    positions: np.ndarray,
-    oracle_counters: np.ndarray,
-    verification_bits: bytes,
-    inserted_count: int,
-    registry=None,
-) -> VisualPrintServer:
-    """Build an equivalent server through the public restore APIs."""
-    server = VisualPrintServer(config, bounds=bounds, registry=registry)
-    server.restore_state(descriptors, positions)
-    server.oracle.restore_counts(
-        oracle_counters,
-        verification_bits=verification_bits,
-        inserted_count=inserted_count,
-    )
-    return server
-
-
-def load_server(path: str | Path, registry=None) -> VisualPrintServer:
-    """Reconstruct a server saved by :func:`save_server`.
-
-    Every integrity failure — an unreadable archive, a missing section,
-    a checksum mismatch, structurally-impossible contents — raises
-    :class:`SnapshotCorruptError` rather than restoring a server whose
-    answers would be silently wrong.
-    """
-    path = Path(path)
-    try:
-        with np.load(path) as data:
-            entries = {name: data[name] for name in data.files}
-    except (OSError, zipfile.BadZipFile, zlib.error, EOFError, ValueError) as error:
-        raise SnapshotCorruptError(f"state file {path} unreadable: {error}")
-    try:
-        version = int(entries["format_version"][0])
-    except (KeyError, IndexError, ValueError) as error:
-        raise SnapshotCorruptError(f"state file {path} has no format version: {error}")
-    if version not in (1, _FORMAT_VERSION):
-        raise SnapshotCorruptError(f"unsupported server state version {version}")
-    missing = [name for name in _CHECKED_SECTIONS if name not in entries]
-    if missing:
-        raise SnapshotCorruptError(
-            f"state file {path} misses sections: {', '.join(missing)}"
-        )
-    if version >= 2:
-        _verify_npz_integrity(entries)
-    config = _config_from_json(bytes(entries["config_json"]))
-    bounds = (entries["bounds_low"].copy(), entries["bounds_high"].copy())
-    try:
-        inserted = int(entries["inserted_count"][0])
-    except (IndexError, ValueError) as error:
-        raise SnapshotCorruptError(f"insertion count unreadable: {error}")
-    return _restore_server(
-        config,
-        bounds,
-        entries["descriptors"],
-        entries["positions"],
-        entries["oracle_counters"],
-        bytes(entries["verification_bits"]),
-        inserted,
-        registry=registry,
-    )
-
-
-# ----------------------------------------------------------------------
-# Generational store layout
-# ----------------------------------------------------------------------
-
-_STORE_STATE_VERSION = 1
 
 
 def _npy_bytes(array: np.ndarray) -> bytes:
@@ -276,14 +90,13 @@ class ServerStateStore:
 
     def save(self, server: VisualPrintServer) -> int:
         """Commit the server's state as a new generation; returns its number."""
-        arrays = _server_arrays(server)
         low, high = server.bounds()
         sections = {
             "config.json": _config_to_json(server.config),
-            "descriptors.npy": _npy_bytes(arrays["descriptors"]),
-            "positions.npy": _npy_bytes(arrays["positions"]),
+            "descriptors.npy": _npy_bytes(server.descriptors),
+            "positions.npy": _npy_bytes(server.positions),
             "bounds.npy": _npy_bytes(np.vstack([low, high])),
-            "counters.npy": _npy_bytes(arrays["oracle_counters"]),
+            "counters.npy": _npy_bytes(server.oracle.counting.counters),
             "verification.bin": server.oracle.verification.packed_bytes(),
             "meta.json": json.dumps(
                 {
@@ -339,14 +152,18 @@ class ServerStateStore:
             raise SnapshotCorruptError(
                 f"section 'bounds.npy' has shape {bounds_array.shape}, needs (2, 3)"
             )
-        server = _restore_server(
+        server = VisualPrintServer(
             config,
-            (bounds_array[0].copy(), bounds_array[1].copy()),
+            bounds=(bounds_array[0].copy(), bounds_array[1].copy()),
+            registry=self._registry,
+        )
+        server.restore_state(
             _npy_from_bytes(sections["descriptors.npy"], "descriptors.npy"),
             _npy_from_bytes(sections["positions.npy"], "positions.npy"),
+        )
+        server.oracle.restore_counts(
             _npy_from_bytes(sections["counters.npy"], "counters.npy"),
-            sections["verification.bin"],
-            inserted,
-            registry=self._registry,
+            verification_bits=sections["verification.bin"],
+            inserted_count=inserted,
         )
         return server, loaded

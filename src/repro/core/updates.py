@@ -21,9 +21,11 @@ filter the delta was not diffed against.  v1 headers recorded only
 indistinguishable from a valid one, so v1 is rejected outright.
 
 :class:`OracleRefresher` drives the refresh over a (possibly faulty)
-channel: on delivery it applies the delta or snapshot; on failure the
-client keeps serving from its stale filter and the gap is surfaced as
-the ``oracle_staleness_seconds`` gauge.
+channel: on delivery it applies the delta or snapshot through
+:func:`apply_delta` or :func:`apply_snapshot`, which check the whole
+payload before they touch the filter; a payload that fails a check is
+quarantined.  On failure the client keeps serving from its stale filter
+and the gap is surfaced as the ``oracle_staleness_seconds`` gauge.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bloom.container import SnapshotCorruptError
+from repro.bloom.container import SnapshotCorruptError, deserialize_counting
 from repro.bloom.counting import CountingBloomFilter
 from repro.core.oracle import UniquenessOracle
 from repro.network.faults import (
@@ -46,7 +48,6 @@ from repro.network.faults import (
 )
 from repro.network.upload import record_wasted_transfer
 from repro.obs import MetricsRegistry, emit_event, record_span, resolve_registry
-from repro.store.validate import validate_refresh_payload
 
 __all__ = [
     "OracleDelta",
@@ -54,6 +55,7 @@ __all__ = [
     "QuarantinedPayload",
     "RefreshReport",
     "apply_delta",
+    "apply_snapshot",
     "choose_refresh_payload",
     "diff_counting_filters",
     "parse_delta",
@@ -63,7 +65,6 @@ _MAGIC = b"VPDT"
 # v2: magic, version, num_counters, num_changes, num_hashes,
 # bits_per_counter, hash seed (signed 8-byte — seeds may be negative).
 _HEADER = struct.Struct("<4sIIIIIq")
-_HEADER_V1 = struct.Struct("<4sIII")
 _VERSION = 2
 
 
@@ -124,10 +125,10 @@ def parse_delta(
     Returns the ``(indices, values)`` pair of the sparse update.  Every
     failure mode — a damaged GZIP stream, a truncated header, geometry
     or hash-seed mismatch, a body whose length disagrees with the
-    header's ``num_changes``, or counter indices beyond the filter —
-    raises :class:`repro.bloom.SnapshotCorruptError` (a
-    :class:`ValueError` subclass), so nothing corrupt ever reaches the
-    assignment.
+    header's ``num_changes``, counter indices beyond the filter, or
+    values beyond its saturation ceiling — raises
+    :class:`repro.bloom.SnapshotCorruptError` (a :class:`ValueError`
+    subclass), so nothing corrupt ever reaches the assignment.
     """
     payload = delta.payload if isinstance(delta, OracleDelta) else delta
     try:
@@ -196,6 +197,14 @@ def parse_delta(
             f"delta touches counter {int(indices.max())}, filter has only "
             f"{base.num_counters}"
         )
+    # The on-wire <u2 can encode values a narrower counter cannot hold.
+    # The server never produces them, so they are evidence of
+    # corruption: reject rather than clamp.
+    if values.size and int(values.max()) > base.saturation:
+        raise SnapshotCorruptError(
+            f"delta value {int(values.max())} exceeds the saturation "
+            f"ceiling {base.saturation}"
+        )
     return indices, values
 
 
@@ -203,15 +212,43 @@ def apply_delta(base: CountingBloomFilter, delta: OracleDelta | bytes) -> None:
     """Patch ``base`` in place to the delta's target version.
 
     Accepts an :class:`OracleDelta` or its raw compressed payload (what
-    arrives over the channel); validation is :func:`parse_delta`'s.
-    Applied values are clamped to ``base.saturation`` as a last defense
-    against corrupt payloads (the on-wire ``<u2`` can encode values the
-    filter's ``bits_per_counter`` cannot) — the refresher's swap-in
-    validation is stricter and rejects such payloads outright.
+    arrives over the channel).  :func:`parse_delta` checks the whole
+    payload first, so a corrupt one raises
+    :class:`repro.bloom.SnapshotCorruptError` with ``base`` untouched.
     """
     indices, values = parse_delta(base, delta)
-    clamped = np.minimum(values.astype(np.int64), base.saturation)
-    base.set_at(indices.astype(np.int64), clamped)
+    base.set_at(indices.astype(np.int64), values)
+
+
+def apply_snapshot(base: CountingBloomFilter, payload: bytes) -> None:
+    """Replace ``base``'s counters with a full ``VPBF`` counting snapshot.
+
+    The snapshot must decode (:func:`repro.bloom.deserialize_counting`
+    checks header/body consistency), match ``base``'s geometry, and
+    hold no counter beyond ``base.saturation``; otherwise
+    :class:`repro.bloom.SnapshotCorruptError` is raised with ``base``
+    untouched.  The counters are assigned in one step after every check.
+    """
+    fresh = deserialize_counting(payload)
+    for attribute, label in (
+        ("num_counters", "counters"),
+        ("num_hashes", "hashes"),
+        ("bits_per_counter", "bits per counter"),
+    ):
+        if getattr(fresh, attribute) != getattr(base, attribute):
+            raise SnapshotCorruptError(
+                f"snapshot carries {getattr(fresh, attribute)} {label}, the "
+                f"active filter has {getattr(base, attribute)}"
+            )
+    counters = fresh.counters
+    # Bit-packing makes such values unrepresentable when the widths
+    # match; the bound keeps the invariant explicit for the decode path.
+    if counters.size and int(counters.max()) > base.saturation:
+        raise SnapshotCorruptError(
+            f"snapshot counter {int(counters.max())} exceeds the "
+            f"saturation ceiling {base.saturation}"
+        )
+    base.counters = counters
 
 
 def choose_refresh_payload(
@@ -420,18 +457,13 @@ class OracleRefresher:
         )
 
     def _apply(self, kind: str, payload: bytes) -> None:
-        """Validate then swap in; raises before any mutation on corruption.
+        """Check then swap in; raises before any mutation on corruption.
 
-        :func:`repro.store.validate_refresh_payload` parses the payload
-        fully (header/body length consistency, geometry and hash
-        compatibility with the active filter, counter-saturation bounds)
-        without touching the base filter; only a payload that passes
-        everything is applied, in one assignment.
+        :func:`apply_delta` and :func:`apply_snapshot` each check the
+        whole payload against the active filter before they assign.
         """
-        base = self.oracle.counting
-        validated = validate_refresh_payload(kind, payload, base)
-        if validated.kind == "delta":
-            base.set_at(validated.indices.astype(np.int64), validated.values)
+        if kind == "delta":
+            apply_delta(self.oracle.counting, payload)
         else:
-            base.counters = validated.counters
+            apply_snapshot(self.oracle.counting, payload)
         self.oracle.invalidate_transfer_cache()

@@ -27,7 +27,7 @@ def record_wasted_transfer(
     The fault layer counts bytes on attempts *lost in flight*; this is
     the other way a transfer is wasted — delivered intact as far as the
     link can tell, then refused by swap-in validation (see
-    ``repro.store.validate``).  Both land in the same
+    ``repro.core.updates.apply_delta`` / ``apply_snapshot``).  Both land in the same
     ``network_wasted_bytes_total`` series so Fig. 14-style accounting
     sees every byte that crossed the air without advancing the system.
     """

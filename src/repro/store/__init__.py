@@ -1,8 +1,7 @@
 """``repro.store`` — crash-safe, integrity-verified snapshot storage.
 
-PR 4 hardened the network leg of the offload pipeline; this package
-hardens the durable-state leg.  Both the server's persisted state and
-the client's downloaded oracle ride through the same machinery:
+The network layer hardens the offload pipeline's transfer leg; this
+package hardens its durable-state leg, the server's persisted state:
 
 * :class:`SnapshotStore` — atomic generational commits (temp dir +
   fsync + rename, manifest written last) with per-section CRCs and
@@ -11,11 +10,13 @@ the client's downloaded oracle ride through the same machinery:
   bit flips, truncations, torn writes, and stale renames, mirroring
   :class:`repro.network.faults.FaultyChannel` so every corruption path
   is deterministically testable;
-* :func:`validate_refresh_payload` — client-side swap-in validation of
-  downloaded oracle snapshots and deltas (wired into
-  :class:`repro.core.OracleRefresher`);
 * :func:`verify_state` — the ``repro verify-state`` fsck, with
   rebuild-from-wardrive for unrecoverable state.
+
+The client's downloaded oracle is checked on the other side of the
+wire: :func:`repro.core.updates.apply_delta` and
+:func:`repro.core.updates.apply_snapshot` parse and check a refresh
+payload in full before they touch the active filter.
 
 Failure accounting: ``snapshot_faults_injected_total`` (what the chaos
 rig did), ``store_snapshots_corrupt_total`` / ``store_rollbacks_total``
@@ -40,12 +41,6 @@ from repro.store.snapshot import (
     SnapshotStore,
     VerifyReport,
 )
-from repro.store.validate import (
-    ValidatedRefresh,
-    validate_counting_snapshot,
-    validate_delta,
-    validate_refresh_payload,
-)
 
 __all__ = [
     "CHECKSUM_ALGO",
@@ -57,13 +52,9 @@ __all__ = [
     "SnapshotStore",
     "StorageFaultInjector",
     "StorageFaultSpec",
-    "ValidatedRefresh",
     "VerifyReport",
     "available_algorithms",
     "checksum_bytes",
     "checksum_named",
-    "validate_counting_snapshot",
-    "validate_delta",
-    "validate_refresh_payload",
     "verify_state",
 ]

@@ -1,17 +1,20 @@
 """``repro verify-state`` — an fsck for saved server state.
 
-Audits either a single ``.npz`` state file (the legacy
-:func:`repro.core.persistence.save_server` format) or a generational
-:class:`repro.store.SnapshotStore` directory, and reports three tiers:
+Audits a generational :class:`repro.store.SnapshotStore` directory (the
+layout :class:`repro.core.persistence.ServerStateStore` writes) and
+reports three tiers:
 
-* **clean** — every retained generation (or the file) verifies and
-  restores into a structurally-valid server;
+* **clean** — every retained generation verifies and restores into a
+  structurally-valid server;
 * **recoverable** — the newest generation is damaged but an older one
   verifies: the rollback ladder will serve last-good state;
 * **unrecoverable** — nothing verifies.  With a rebuild venue given,
   the auditor re-wardrives the venue from scratch and commits a fresh
   generation — the paper's data is reconstructible, so unrecoverable
   state is an availability event, not a data-loss event.
+
+A path that exists but is not a directory is not a store: it is
+reported as one problem and never rebuilt over.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ class FsckReport:
     """Outcome of one :func:`verify_state` audit."""
 
     path: str
-    kind: str  # "store" | "npz" | "missing"
+    kind: str  # "store" | "file" | "missing"
     ok: bool = False
     recoverable: bool = False
     restored_generation: int | None = None
@@ -128,22 +131,6 @@ def _audit_store(path: Path, report: FsckReport) -> None:
     report.ok = clean and loaded.rolled_back == 0
 
 
-def _audit_npz(path: Path, report: FsckReport) -> None:
-    from repro.bloom.container import SnapshotCorruptError
-    from repro.core.persistence import load_server
-
-    try:
-        load_server(path)
-    except SnapshotCorruptError as error:
-        report.problems.append(str(error))
-        return
-    except (OSError, ValueError, KeyError) as error:
-        report.problems.append(f"unreadable state file: {error}")
-        return
-    report.ok = True
-    report.recoverable = True
-
-
 def verify_state(
     path: str | Path,
     rebuild_venue: str | None = None,
@@ -154,9 +141,9 @@ def verify_state(
     if path.is_dir():
         report = FsckReport(path=str(path), kind="store")
         _audit_store(path, report)
-    elif path.is_file():
-        report = FsckReport(path=str(path), kind="npz")
-        _audit_npz(path, report)
+    elif path.exists():
+        report = FsckReport(path=str(path), kind="file")
+        report.problems.append("not a snapshot-store directory")
     else:
         report = FsckReport(path=str(path), kind="missing")
         report.problems.append("path does not exist")

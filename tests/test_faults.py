@@ -3,7 +3,7 @@
 Covers the fault-injecting channel wrapper (`repro.network.faults`), the
 retry/degradation submission path, the client's backpressure loop, the
 oracle refresher's stale-snapshot fallback, and the VPDT v2 delta format
-(geometry validation, v1 rejection, saturation clamping) — plus the
+(geometry validation, v1 rejection, saturation rejection) — plus the
 acceptance properties: zero-fault parity with the bare channel and
 deterministic accounting under 20% loss.
 """
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.bloom import CountingBloomFilter
+from repro.bloom import CountingBloomFilter, SnapshotCorruptError
 from repro.core import (
     OracleRefresher,
     UniquenessOracle,
@@ -26,7 +26,7 @@ from repro.core import (
     VisualPrintConfig,
 )
 from repro.core.fingerprint import Fingerprint, degradation_keep_counts
-from repro.core.persistence import load_server, save_server
+from repro.core.persistence import ServerStateStore
 from repro.core.server import VisualPrintServer
 from repro.core.updates import (
     apply_delta,
@@ -581,8 +581,9 @@ class TestDeltaFormatV2:
         with pytest.raises(ValueError, match="version 3"):
             apply_delta(base, gzip.compress(raw))
 
-    def test_oversaturated_values_clamped(self):
+    def test_oversaturated_values_rejected(self):
         base, _ = _filter_pair()
+        before = base.counters.copy()
         # Hand-craft a delta writing 65535 into counter 0: the on-wire
         # <u2 can encode values a 10-bit filter cannot hold.
         raw = struct.pack(
@@ -591,8 +592,9 @@ class TestDeltaFormatV2:
         )
         raw += np.array([0], dtype="<u4").tobytes()
         raw += np.array([65535], dtype="<u2").tobytes()
-        apply_delta(base, gzip.compress(raw))
-        assert base.counters[0] == base.saturation
+        with pytest.raises(SnapshotCorruptError, match="saturation"):
+            apply_delta(base, gzip.compress(raw))
+        assert np.array_equal(base.counters, before)
 
     @given(st.integers(0, 2**31), st.integers(1, 60), st.integers(0, 60))
     @settings(max_examples=20, deadline=None)
@@ -705,9 +707,9 @@ class TestOracleRefresher:
             client.counting.counters, server.oracle.counting.counters
         )
 
-        path = tmp_path / f"server-{seed}.npz"
-        save_server(server, path)
-        loaded = load_server(path)
+        root = tmp_path / f"server-{seed}"
+        ServerStateStore(root).save(server)
+        loaded, _ = ServerStateStore(root).load()
         queries = _descriptors(rng, 10)
         assert loaded.oracle.lookup_batch(queries) == server.oracle.lookup_batch(
             queries

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import Fingerprint, VisualPrintConfig, VisualPrintServer
-from repro.core.persistence import load_server, save_server
+from repro.core.persistence import ServerStateStore
 from repro.evaluation.experiments import latency_e2e
 from repro.evaluation.plots import ascii_boxplot, ascii_cdf, ascii_series
 from repro.features.keypoint import KeypointSet
@@ -56,6 +56,12 @@ class TestAsciiPlots:
         assert "a=c" in rendered  # marker 'a' labels the series named 'c'
 
 
+def _roundtrip(server: VisualPrintServer, root) -> VisualPrintServer:
+    ServerStateStore(root).save(server)
+    restored, _ = ServerStateStore(root).load()
+    return restored
+
+
 class TestServerPersistence:
     @pytest.fixture
     def server(self, rng):
@@ -69,9 +75,7 @@ class TestServerPersistence:
 
     def test_roundtrip_oracle_counts(self, server, tmp_path, rng):
         original, descriptors = server
-        path = tmp_path / "server.npz"
-        save_server(original, path)
-        restored = load_server(path)
+        restored = _roundtrip(original, tmp_path / "server")
         probe = np.vstack(
             [descriptors[:20], [random_sift_descriptor(rng) for _ in range(20)]]
         )
@@ -81,9 +85,7 @@ class TestServerPersistence:
 
     def test_roundtrip_localization(self, server, tmp_path, rng):
         original, descriptors = server
-        path = tmp_path / "server.npz"
-        save_server(original, path)
-        restored = load_server(path)
+        restored = _roundtrip(original, tmp_path / "server")
         pixels = rng.uniform(50, 590, size=(15, 2)).astype(np.float32)
         fingerprint = Fingerprint(
             keypoints=KeypointSet(
@@ -102,9 +104,7 @@ class TestServerPersistence:
 
     def test_roundtrip_bounds_and_counts(self, server, tmp_path):
         original, _ = server
-        path = tmp_path / "server.npz"
-        save_server(original, path)
-        restored = load_server(path)
+        restored = _roundtrip(original, tmp_path / "server")
         assert restored.num_mappings == original.num_mappings
         low_a, high_a = original.bounds()
         low_b, high_b = restored.bounds()
@@ -114,9 +114,7 @@ class TestServerPersistence:
     def test_empty_server_roundtrip(self, tmp_path):
         config = VisualPrintConfig(descriptor_capacity=2_000)
         server = VisualPrintServer(config)
-        path = tmp_path / "empty.npz"
-        save_server(server, path)
-        restored = load_server(path)
+        restored = _roundtrip(server, tmp_path / "empty")
         assert restored.num_mappings == 0
 
 

@@ -35,8 +35,14 @@ from repro.bloom import (
 )
 from repro.core import VisualPrintConfig, VisualPrintServer
 from repro.core.oracle import UniquenessOracle
-from repro.core.persistence import ServerStateStore, load_server, save_server
-from repro.core.updates import OracleRefresher, diff_counting_filters
+from repro.core.persistence import ServerStateStore
+from repro.core.updates import (
+    OracleRefresher,
+    apply_delta,
+    apply_snapshot,
+    choose_refresh_payload,
+    diff_counting_filters,
+)
 from repro.obs import MetricsRegistry, use_registry
 from repro.store import (
     CHECKSUM_ALGO,
@@ -45,7 +51,6 @@ from repro.store import (
     StorageFaultSpec,
     checksum_bytes,
     checksum_named,
-    validate_refresh_payload,
     verify_state,
 )
 from repro.wardrive.environment import random_sift_descriptor
@@ -343,6 +348,40 @@ class TestRestoreApis:
         assert server.num_mappings == 0  # nothing was mutated
 
 
+def _oversaturated_delta(base: CountingBloomFilter) -> bytes:
+    """A well-formed VPDT delta writing 65535 into counter 0."""
+    raw = struct.pack(
+        "<4sIIIIIq",
+        b"VPDT",
+        2,
+        base.num_counters,
+        1,
+        base.num_hashes,
+        base.bits_per_counter,
+        base.hash_seed,
+    )
+    raw += np.array([0], dtype="<u4").tobytes()
+    raw += np.array([65535], dtype="<u2").tobytes()
+    return gzip.compress(raw)
+
+
+def _flip_crc_bit(payload: bytes) -> bytes:
+    """Flip one bit of the GZIP trailer's CRC32: always detectable."""
+    damaged = bytearray(payload)
+    damaged[-5] ^= 0x10
+    return bytes(damaged)
+
+
+class _Substitute:
+    """Download fault hook that delivers ``payload`` in place of the real one."""
+
+    def __init__(self, payload: bytes) -> None:
+        self.payload = payload
+
+    def mangle(self, data: bytes, label: str = "") -> tuple[bytes, str]:
+        return self.payload, "substitute"
+
+
 class TestRefresherRejection:
     def _oracle_pair(self, rng):
         config = VisualPrintConfig(descriptor_capacity=2048)
@@ -397,30 +436,72 @@ class TestRefresherRejection:
             assert refresher.refresh(server).status == "rejected"
         assert len(refresher.quarantined) == 2
 
+    def _assert_refresher_rejects(self, client, server, payload):
+        before = client.counting.counters.copy()
+        refresher = OracleRefresher(
+            client, registry=MetricsRegistry(), fault_injector=_Substitute(payload)
+        )
+        report = refresher.refresh(server)
+        assert report.status == "rejected"
+        assert np.array_equal(client.counting.counters, before)
+        assert len(refresher.quarantined) == 1
+        return report
+
     def test_mismatched_geometry_snapshot_rejected(self, rng):
         base = CountingBloomFilter(num_counters=512, num_hashes=4)
-        other = CountingBloomFilter(num_counters=1024, num_hashes=4)
-        payload = serialize_counting(other).payload
-        with pytest.raises(SnapshotCorruptError, match="counters"):
-            validate_refresh_payload("snapshot", payload, base)
+        base.add(rng.integers(0, 256, (30, 16)))
+        before = base.counters.copy()
+        for other in (
+            CountingBloomFilter(num_counters=1024, num_hashes=4),
+            CountingBloomFilter(num_counters=512, num_hashes=5),
+            CountingBloomFilter(num_counters=512, num_hashes=4, bits_per_counter=8),
+        ):
+            payload = serialize_counting(other).payload
+            with pytest.raises(SnapshotCorruptError, match="active filter"):
+                apply_snapshot(base, payload)
+            assert np.array_equal(base.counters, before)
+        # The refresher refuses the same payload on its snapshot path.
+        client, server = self._oracle_pair(rng)
+        client.counting.counters = server.counting.counters.copy()
+        server.insert(np.array([random_sift_descriptor(rng) for _ in range(400)]))
+        wrong = serialize_counting(
+            CountingBloomFilter(num_counters=512, num_hashes=4)
+        ).payload
+        report = self._assert_refresher_rejects(client, server, wrong)
+        assert report.kind == "snapshot"
 
-    def test_oversaturated_delta_rejected_not_clamped(self):
+    def test_oversaturated_delta_rejected_not_clamped(self, rng):
         base = CountingBloomFilter(num_counters=512, num_hashes=4)
-        raw = struct.pack(
-            "<4sIIIIIq",
-            b"VPDT",
-            2,
-            base.num_counters,
-            1,
-            base.num_hashes,
-            base.bits_per_counter,
-            base.hash_seed,
-        )
-        raw += np.array([0], dtype="<u4").tobytes()
-        raw += np.array([65535], dtype="<u2").tobytes()
+        base.add(rng.integers(0, 256, (30, 16)))
+        before = base.counters.copy()
         with pytest.raises(SnapshotCorruptError, match="saturation"):
-            validate_refresh_payload("delta", gzip.compress(raw), base)
-        assert base.counters[0] == 0
+            apply_delta(base, _oversaturated_delta(base))
+        assert np.array_equal(base.counters, before)
+        client, server = self._oracle_pair(rng)
+        report = self._assert_refresher_rejects(
+            client, server, _oversaturated_delta(client.counting)
+        )
+        assert report.kind == "delta"
+
+    def test_bit_flipped_payload_rejected(self, rng):
+        old = CountingBloomFilter(num_counters=512, num_hashes=4)
+        old.add(rng.integers(0, 256, (30, 16)))
+        new = CountingBloomFilter(num_counters=512, num_hashes=4)
+        new.counters = old.counters.copy()
+        new.add(rng.integers(0, 256, (20, 16)))
+        before = old.counters.copy()
+        with pytest.raises(SnapshotCorruptError, match="GZIP"):
+            apply_delta(old, _flip_crc_bit(diff_counting_filters(old, new).payload))
+        assert np.array_equal(old.counters, before)
+        with pytest.raises(SnapshotCorruptError, match="GZIP"):
+            apply_snapshot(old, _flip_crc_bit(serialize_counting(new).payload))
+        assert np.array_equal(old.counters, before)
+        client, server = self._oracle_pair(rng)
+        kind, payload = choose_refresh_payload(client, server)
+        report = self._assert_refresher_rejects(
+            client, server, _flip_crc_bit(payload)
+        )
+        assert report.kind == kind
 
     def test_delta_roundtrip_through_validation(self):
         rng = np.random.default_rng(21)
@@ -429,10 +510,9 @@ class TestRefresherRejection:
         new = CountingBloomFilter(num_counters=512, num_hashes=4)
         new.counters = old.counters.copy()
         new.add(rng.integers(0, 256, (20, 16)))
-        validated = validate_refresh_payload(
-            "delta", diff_counting_filters(old, new).payload, old
-        )
-        old.set_at(validated.indices.astype(np.int64), validated.values)
+        apply_delta(old, diff_counting_filters(old, new).payload)
+        assert np.array_equal(old.counters, new.counters)
+        apply_snapshot(old, serialize_counting(new).payload)
         assert np.array_equal(old.counters, new.counters)
 
 
@@ -472,17 +552,19 @@ class TestServerStateStore:
             restored.oracle.counting.counters, counters_before
         )
 
-    def test_npz_integrity_checked(self, rng, tmp_path):
+    def test_integrity_checked(self, rng, tmp_path):
         server = _small_server(rng)
-        path = tmp_path / "state.npz"
-        save_server(server, path)
-        restored = load_server(path)
+        root = tmp_path / "state"
+        ServerStateStore(root).save(server)
+        restored, _ = ServerStateStore(root).load()
         assert np.array_equal(
             restored.oracle.counting.counters, server.oracle.counting.counters
         )
-        StorageFaultInjector(seed=10).corrupt_file(path)
+        StorageFaultInjector(seed=10).corrupt_file(
+            root / "gen-000001" / "counters.npy"
+        )
         with pytest.raises(SnapshotCorruptError):
-            load_server(path)
+            ServerStateStore(root).load()
 
 
 class TestVerifyState:
@@ -490,12 +572,23 @@ class TestVerifyState:
         report = verify_state(tmp_path / "absent")
         assert report.kind == "missing" and report.exit_code == 1
 
-    def test_npz_clean_then_corrupt(self, rng, tmp_path):
+    def test_plain_file_is_not_a_store(self, tmp_path):
         path = tmp_path / "state.npz"
-        save_server(_small_server(rng), path)
-        assert verify_state(path).exit_code == 0
-        StorageFaultInjector(seed=12).corrupt_file(path)
-        report = verify_state(path)
+        path.write_bytes(b"not a store")
+        report = verify_state(path, rebuild_venue="office")
+        assert report.kind == "file" and report.exit_code == 1
+        assert report.problems == ["not a snapshot-store directory"]
+        assert not report.rebuilt
+        assert path.read_bytes() == b"not a store"
+
+    def test_store_clean_then_corrupt(self, rng, tmp_path):
+        root = tmp_path / "state"
+        ServerStateStore(root).save(_small_server(rng))
+        assert verify_state(root).exit_code == 0
+        StorageFaultInjector(seed=12).corrupt_file(
+            root / "gen-000001" / "descriptors.npy"
+        )
+        report = verify_state(root)
         assert report.exit_code == 1 and not report.recoverable
 
     def test_store_recoverable_via_rollback(self, rng, tmp_path):
@@ -515,14 +608,21 @@ class TestVerifyState:
     def test_cli_verify_state_exit_codes(self, rng, tmp_path, capsys):
         from repro.cli import main
 
-        path = tmp_path / "state.npz"
-        save_server(_small_server(rng), path)
-        assert main(["verify-state", str(path)]) == 0
+        root = tmp_path / "state"
+        ServerStateStore(root).save(_small_server(rng))
+        assert main(["verify-state", str(root)]) == 0
         capsys.readouterr()
-        StorageFaultInjector(seed=15).corrupt_file(path)
-        assert main(["verify-state", str(path), "--json"]) == 1
+        StorageFaultInjector(seed=15).corrupt_file(
+            root / "gen-000001" / "counters.npy"
+        )
+        assert main(["verify-state", str(root), "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
+        path = tmp_path / "state.npz"
+        path.write_bytes(b"not a store")
+        assert main(["verify-state", str(path), "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["problems"] == ["not a snapshot-store directory"]
 
 
 class TestChecksum:
