@@ -189,13 +189,12 @@ def test_lsh_query_camera(scene_table, lsh_trajectory):
 
 def test_lsh_build(scene_table, lsh_trajectory):
     descriptors, _ = scene_table
-    ids = np.arange(descriptors.shape[0])
     index = LshIndex()
-    build_ms = _best_ms(lambda: index.build(descriptors, ids), _REPEATS)
+    build_ms = _best_ms(lambda: index.build(descriptors), _REPEATS)
     fresh = LshIndex()
     tracemalloc.start()
     try:
-        fresh.build(descriptors, ids)
+        fresh.build(descriptors)
         traced, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

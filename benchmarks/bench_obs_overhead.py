@@ -232,18 +232,16 @@ def test_incremental_insert_beats_rebuild(benchmark, metrics_registry):
         for batch in batches:
             history.append(batch)
             stacked = np.vstack(history)
-            index.build(stacked, np.arange(stacked.shape[0]))
+            index.build(stacked)
         return index
 
     def incremental_ingest() -> LshIndex:
         index = LshIndex(seed=7)
-        offset = 0
         ingest_seconds = metrics_registry.sketch("server_ingest_seconds")
         for batch in batches:
             start = time.perf_counter()
-            index.insert(batch, np.arange(offset, offset + batch.shape[0]))
+            index.insert(batch)
             ingest_seconds.observe(time.perf_counter() - start)
-            offset += batch.shape[0]
         return index
 
     rebuild_seconds = _best_of(rebuild_ingest, repeats=3)

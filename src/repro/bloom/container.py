@@ -81,7 +81,7 @@ def serialize_counting(
     ).encode("utf-8")
     body = bloom.packed_bytes()
     raw = _MAGIC + struct.pack("<BI", _VERSION, len(header)) + header + body
-    compressed = gzip.compress(raw, compresslevel=gzip_level)
+    compressed = gzip.compress(raw, compresslevel=gzip_level, mtime=0)
     return BloomSnapshot(
         payload=compressed, raw_bytes=len(raw), compressed_bytes=len(compressed)
     )
@@ -101,7 +101,7 @@ def serialize_verification(
     ).encode("utf-8")
     body = bloom.packed_bytes()
     raw = _VERIFICATION_MAGIC + struct.pack("<BI", _VERSION, len(header)) + header + body
-    compressed = gzip.compress(raw, compresslevel=gzip_level)
+    compressed = gzip.compress(raw, compresslevel=gzip_level, mtime=0)
     return BloomSnapshot(
         payload=compressed, raw_bytes=len(raw), compressed_bytes=len(compressed)
     )

@@ -71,8 +71,8 @@ class VisualPrintServer:
             max_probes_per_table=self.config.max_probes_per_table,
         )
         self.intrinsics = intrinsics or CameraIntrinsics()
-        self._descriptors: list[np.ndarray] = []
-        self._positions: list[np.ndarray] = []
+        # Row i of the lookup table maps to 3D point i.
+        self._positions = np.empty((0, 3))
         self._bounds = bounds
         self._localizer = AngularLocalizer(seed=self.config.seed)
         self._m_ingest_seconds = self._registry.sketch(
@@ -147,12 +147,8 @@ class VisualPrintServer:
         self.lookup.projections.check_range(descriptors)
         start = time.perf_counter()
         self.oracle.insert(descriptors)
-        start_row = self.num_mappings
-        self._descriptors.append(descriptors)
-        self._positions.append(positions_3d)
-        self.lookup.insert(
-            descriptors, np.arange(start_row, start_row + descriptors.shape[0])
-        )
+        self.lookup.insert(descriptors)
+        self._positions = np.concatenate([self._positions, positions_3d])
         self._m_ingest_seconds.observe(time.perf_counter() - start)
         self._m_ingest_bytes.observe(descriptors.nbytes)
         self._m_ingest_descriptors.inc(descriptors.shape[0])
@@ -176,7 +172,7 @@ class VisualPrintServer:
         from repro.bloom.container import SnapshotCorruptError
 
         descriptors = np.asarray(descriptors, dtype=np.float32)
-        positions = np.asarray(positions, dtype=np.float64)
+        positions = np.array(positions, dtype=np.float64)
         if descriptors.ndim != 2:
             raise SnapshotCorruptError(
                 f"restored descriptors must be 2-D, got shape {descriptors.shape}"
@@ -201,30 +197,24 @@ class VisualPrintServer:
             if not (np.isfinite(low).all() and np.isfinite(high).all()):
                 raise SnapshotCorruptError("restored bounds are non-finite")
             self._bounds = (low, high)
-        if descriptors.shape[0]:
-            self._descriptors = [descriptors.copy()]
-            self._positions = [positions.copy()]
-            self.lookup.build(descriptors, np.arange(descriptors.shape[0]))
-        else:
-            self._descriptors = []
-            self._positions = []
+        self.lookup.build(descriptors)
+        self._positions = positions
 
     @property
     def num_mappings(self) -> int:
-        return sum(d.shape[0] for d in self._descriptors)
+        return self.lookup.size
 
     @property
     def positions(self) -> np.ndarray:
-        if not self._positions:
-            return np.empty((0, 3))
-        return np.vstack(self._positions)
+        """The 3D point of every lookup-table row, as a read-only view."""
+        positions = self._positions.view()
+        positions.flags.writeable = False
+        return positions
 
     @property
     def descriptors(self) -> np.ndarray:
-        """All ingested descriptor rows (the persisted lookup-table keys)."""
-        if not self._descriptors:
-            return np.empty((0, 128), dtype=np.float32)
-        return np.vstack(self._descriptors)
+        """All ingested descriptor rows: a read-only view of the lookup table's."""
+        return self.lookup.descriptors
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Venue extents for the solver's search box."""
@@ -272,18 +262,11 @@ class VisualPrintServer:
 
     def _localize(self, fingerprint: Fingerprint) -> LocalizationAnswer:
         low, high = self.bounds()
-        positions = self.positions
-        matches = self.lookup.query_batch(
+        pixel_rows, point_rows, _ = self.lookup.query_batch(
             fingerprint.keypoints.descriptors,
             num_neighbors=self.config.nearest_neighbors_per_keypoint,
         )
-        pixel_rows: list[int] = []
-        point_rows: list[int] = []
-        for row, row_matches in enumerate(matches):
-            for match in row_matches:
-                pixel_rows.append(row)
-                point_rows.append(match.item_id)
-        matched = len(point_rows)
+        matched = point_rows.size
         if matched == 0:
             center = (low + high) / 2.0
             fallback = LocalizationSolution(
@@ -299,31 +282,23 @@ class VisualPrintServer:
                 clustered_points=0,
             )
 
-        candidate_points = positions[point_rows]
+        candidate_points = self._positions[point_rows]
         kept = largest_cluster(
             candidate_points,
             eps=self.config.cluster_radius,
             min_samples=self.config.min_cluster_size,
         )
         if kept.size < 3:
-            kept = np.arange(candidate_points.shape[0])
+            kept = np.arange(matched)
         # One 3D point per keypoint: if several of a keypoint's neighbors
-        # survive clustering, keep its closest-descriptor match (first).
-        pixels = fingerprint.keypoints.positions
-        seen: set[int] = set()
-        final_pixels: list[np.ndarray] = []
-        final_points: list[np.ndarray] = []
-        for index in kept:
-            keypoint_row = pixel_rows[index]
-            if keypoint_row in seen:
-                continue
-            seen.add(keypoint_row)
-            final_pixels.append(pixels[keypoint_row])
-            final_points.append(candidate_points[index])
+        # survive clustering, keep its closest-descriptor match (the
+        # first one in ``kept`` order).
+        first = np.unique(pixel_rows[kept], return_index=True)[1]
+        final = kept[np.sort(first)]
 
         problem = LocalizationProblem(
-            pixels=np.array(final_pixels),
-            world_points=np.array(final_points),
+            pixels=fingerprint.keypoints.positions[pixel_rows[final]],
+            world_points=candidate_points[final],
             intrinsics=self.intrinsics,
             bounds_low=low,
             bounds_high=high,
@@ -339,10 +314,6 @@ class VisualPrintServer:
     # ------------------------------------------------------------------
     # Footprints (Fig. 15 / takeaways)
     # ------------------------------------------------------------------
-
-    def lookup_memory_bytes(self) -> int:
-        """Server-side LSH table RAM (the 9.4 GB-class number)."""
-        return self.lookup.memory_bytes()
 
     def oracle_download_bytes(self) -> int:
         """Compressed oracle download size (the ~10 MB number)."""

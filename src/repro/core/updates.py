@@ -111,7 +111,7 @@ def diff_counting_filters(
         + body
     )
     return OracleDelta(
-        payload=gzip.compress(raw, compresslevel=gzip_level),
+        payload=gzip.compress(raw, compresslevel=gzip_level, mtime=0),
         num_changes=int(changed.size),
         raw_bytes=len(raw),
     )

@@ -65,7 +65,7 @@ def serialize_keypoints(keypoints: KeypointSet, compress: bool = False) -> bytes
     descriptors = np.clip(np.rint(keypoints.descriptors), 0, 255).astype(np.uint8)
     payload = _HEADER.pack(_MAGIC, count) + meta.tobytes() + descriptors.tobytes()
     if compress:
-        return gzip.compress(payload, compresslevel=9)
+        return gzip.compress(payload, compresslevel=9, mtime=0)
     return payload
 
 

@@ -13,14 +13,13 @@ land one quantization cell away from their training-time bucket.
 """
 
 from repro.lsh.buckets import QuantizedBuckets
-from repro.lsh.index import LshIndex, LshMatch
+from repro.lsh.index import LshIndex
 from repro.lsh.multiprobe import perturbation_sets
 from repro.lsh.projections import E2LSHParams, StableProjections
 
 __all__ = [
     "E2LSHParams",
     "LshIndex",
-    "LshMatch",
     "QuantizedBuckets",
     "StableProjections",
     "perturbation_sets",

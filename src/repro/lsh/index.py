@@ -1,8 +1,9 @@
 """Multi-table LSH index for Euclidean nearest-neighbor lookup.
 
 This is the server-side "large-scale image-based content retrieval table"
-of the paper: each indexed descriptor carries an opaque payload id (in
-VisualPrint, a row into the keypoint-to-3D-position table).  A query
+of the paper.  The index is the one holder of its descriptor rows, and a
+row's number (its insertion order) is its payload id: in VisualPrint,
+the row of the keypoint-to-3D-position table.  A query
 collects candidates from every table's bucket plus its multiprobe
 neighbours (the oracle's schedule, :mod:`repro.lsh.multiprobe`), then
 re-ranks them by exact Euclidean distance — so hash-key collisions never
@@ -20,7 +21,8 @@ from a stored float64 ``‖d‖²`` per row, within a proven rounding bound;
 only pairs that can still be among their query's k nearest (about k
 per query) get the exact float64 distance.  Distances are bit-identical
 to ranking every candidate exactly, and exact ties go to the lowest
-stored row.
+stored row.  A batch query answers with three aligned flat arrays,
+``(query_rows, rows, distances)``.
 
 The index deliberately stores descriptors once but bucket references L
 times; :meth:`LshIndex.memory_bytes` reports that replication, which is
@@ -30,8 +32,6 @@ larger than the input data" in Fig. 15.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -41,7 +41,7 @@ from repro.lsh.multiprobe import ranked_perturbations
 from repro.lsh.projections import E2LSHParams, StableProjections
 from repro.util.validation import check_positive
 
-__all__ = ["LshIndex", "LshMatch"]
+__all__ = ["LshIndex"]
 
 # Unit roundoff of float32: Higham's gamma_D = D·u / (1 − D·u) bounds the
 # error of a length-D float32 dot product relative to Σ|d_i·q_i|.
@@ -157,16 +157,8 @@ def _kth_smallest(
     return kth
 
 
-@dataclass(frozen=True)
-class LshMatch:
-    """One nearest-neighbor candidate returned by the index."""
-
-    item_id: int
-    distance: float
-
-
 class LshIndex:
-    """E2LSH index over 128-D descriptors with integer payload ids."""
+    """E2LSH index over 128-D descriptors; a row's number is its payload id."""
 
     def __init__(
         self,
@@ -188,12 +180,11 @@ class LshIndex:
         # precisely the ones the ratio test would reject anyway.
         self.max_bucket_size = int(max_bucket_size)
         self._tables = [_empty_table() for _ in range(self.params.num_tables)]
-        # Amortized-growth row storage: descriptors/ids live in
-        # capacity-doubling arrays so :meth:`insert` appends in O(batch)
+        # Amortized-growth row storage: descriptors live in a
+        # capacity-doubling array so :meth:`insert` appends in O(batch)
         # instead of re-copying (and re-hashing) all history per batch.
         # Each row's squared norm ‖d‖² (float64) feeds the query filter.
         self._store: np.ndarray | None = None
-        self._ids_store: np.ndarray | None = None
         self._norms_store: np.ndarray | None = None
         self._size = 0
 
@@ -202,21 +193,28 @@ class LshIndex:
         """Number of indexed descriptors."""
         return self._size
 
-    def build(self, descriptors: np.ndarray, item_ids: np.ndarray) -> None:
-        """(Re)build the index over ``descriptors`` with per-row payload ids."""
+    @property
+    def descriptors(self) -> np.ndarray:
+        """The stored rows, ``(size, D)`` float32, as a read-only view."""
+        if self._store is None:
+            return np.empty((0, self.params.dimension), dtype=np.float32)
+        rows = self._store[: self._size]
+        rows.flags.writeable = False
+        return rows
+
+    def build(self, descriptors: np.ndarray) -> None:
+        """(Re)build the index over ``descriptors``; row ``i`` gets payload id ``i``."""
         self._tables = [_empty_table() for _ in range(self.params.num_tables)]
         self._store = None
-        self._ids_store = None
         self._norms_store = None
         self._size = 0
-        self.insert(descriptors, item_ids)
+        self.insert(descriptors)
 
     def _grow_storage(self, extra_rows: int, dimension: int) -> None:
         needed = self._size + extra_rows
         if self._store is None:
             capacity = max(needed, 1024)
             self._store = np.empty((capacity, dimension), dtype=np.float32)
-            self._ids_store = np.empty(capacity, dtype=np.int64)
             self._norms_store = np.empty(capacity, dtype=np.float64)
             return
         if self._store.shape[1] != dimension:
@@ -230,20 +228,18 @@ class LshIndex:
         grown = np.empty((capacity, self._store.shape[1]), dtype=np.float32)
         grown[: self._size] = self._store[: self._size]
         self._store = grown
-        grown_ids = np.empty(capacity, dtype=np.int64)
-        grown_ids[: self._size] = self._ids_store[: self._size]
-        self._ids_store = grown_ids
         grown_norms = np.empty(capacity, dtype=np.float64)
         grown_norms[: self._size] = self._norms_store[: self._size]
         self._norms_store = grown_norms
 
-    def insert(self, descriptors: np.ndarray, item_ids: np.ndarray) -> None:
-        """Append descriptors incrementally — only the new batch is hashed.
+    def insert(self, descriptors: np.ndarray) -> None:
+        """Append descriptors as the next rows — only the new batch is hashed.
 
-        This is the "incorporated continuously, in constant time and
-        memory" ingest path of the paper: the batch costs O(batch · L)
-        hashing plus a sort of the batch per table, and its merge copies
-        each table's arrays once (O(stored), no re-sort, no re-hash).
+        Row numbers continue from :attr:`size`.  This is the
+        "incorporated continuously, in constant time and memory" ingest
+        path of the paper: the batch costs O(batch · L) hashing plus a
+        sort of the batch per table, and its merge copies each table's
+        arrays once (O(stored), no re-sort, no re-hash).
         Bucket capping keeps first-inserted rows, so any split into
         batches gives the tables of one :meth:`build` over all rows.
         A rejected batch leaves the index as it was: its rows land in
@@ -251,21 +247,14 @@ class LshIndex:
         batch's buckets pass the range check.
         """
         descriptors = np.asarray(descriptors, dtype=np.float32)
-        item_ids = np.asarray(item_ids, dtype=np.int64)
         if descriptors.ndim != 2:
             raise ValueError(f"descriptors must be 2-D, got {descriptors.shape}")
-        if item_ids.shape != (descriptors.shape[0],):
-            raise ValueError(
-                "item_ids must have one entry per descriptor, got "
-                f"{item_ids.shape} for {descriptors.shape[0]} descriptors"
-            )
         num_new = descriptors.shape[0]
         if num_new == 0:
             return
         start_row = self._size
         self._grow_storage(num_new, descriptors.shape[1])
         self._store[start_row : start_row + num_new] = descriptors
-        self._ids_store[start_row : start_row + num_new] = item_ids
         # einsum casts through its small buffers, not a float64 copy.
         self._norms_store[start_row : start_row + num_new] = np.einsum(
             "ij,ij->i", descriptors, descriptors, dtype=np.float64
@@ -276,20 +265,18 @@ class LshIndex:
             self._tables[index] = _merge(table, keys, start_row, self.max_bucket_size)
         self._size += num_new
 
-    def query(self, descriptor: np.ndarray, num_neighbors: int = 1) -> list[LshMatch]:
-        """Approximate nearest neighbors of one descriptor (see :meth:`query_batch`)."""
-        descriptor = np.asarray(descriptor, dtype=np.float32).reshape(1, -1)
-        return self.query_batch(descriptor, num_neighbors)[0]
-
     def query_batch(
         self, descriptors: np.ndarray, num_neighbors: int = 1
-    ) -> list[list[LshMatch]]:
-        """Query many descriptors; one (possibly empty) match list per row.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Approximate nearest neighbors of many descriptors, as flat arrays.
 
-        Each list holds up to ``num_neighbors`` matches ordered by exact
-        distance, ties broken toward the lowest stored row; it is shorter
-        (or empty) when the probed buckets hold fewer candidates — the
-        defining failure mode E2LSH trades for speed.
+        Returns aligned ``(query_rows, rows, distances)``: int64 query
+        row, int64 stored row (the payload id) and float64 exact
+        distance per match, ordered by query, then distance, ties
+        broken toward the lowest stored row.  A query has at most
+        ``num_neighbors`` matches; it has fewer (or none) when the
+        probed buckets hold fewer candidates — the defining failure mode
+        E2LSH trades for speed.
         """
         check_positive("num_neighbors", num_neighbors)
         if self._size == 0:
@@ -395,8 +382,8 @@ class LshIndex:
         queries: np.ndarray,
         rows: np.ndarray,
         num_neighbors: int,
-    ) -> list[list[LshMatch]]:
-        """Exact float64 distances, each query's matches ordered by (distance, row)."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Exact float64 distances; each query's first k by (distance, row)."""
         deltas = self._store[rows].astype(np.float64) - descriptors[queries].astype(
             np.float64
         )
@@ -405,24 +392,12 @@ class LshIndex:
         queries, rows, distances = queries[order], rows[order], distances[order]
         first = np.searchsorted(queries, np.arange(descriptors.shape[0]))
         keep = np.arange(queries.size) - first[queries] < num_neighbors
-        matches = [
-            LshMatch(item_id=item_id, distance=distance)
-            for item_id, distance in zip(
-                self._ids_store[rows[keep]].tolist(), distances[keep].tolist()
-            )
-        ]
-        counts = np.bincount(queries[keep], minlength=descriptors.shape[0])
-        flat = iter(matches)
-        return [list(islice(flat, count)) for count in counts.tolist()]
+        return queries[keep], rows[keep], distances[keep]
 
     def memory_bytes(self) -> int:
-        """In-memory footprint: rows (descriptor, id, norm) + L-fold bucket tables."""
+        """In-memory footprint: rows (descriptor, norm) + L-fold bucket tables."""
         total = sum(array.nbytes for table in self._tables for array in table)
         if self._store is not None:
-            for column in (self._store, self._ids_store, self._norms_store):
+            for column in (self._store, self._norms_store):
                 total += column[: self._size].nbytes
         return total
-
-    def disk_bytes(self) -> int:
-        """Serialized (uncompressed) footprint for Fig. 15's disk column."""
-        return self.memory_bytes()

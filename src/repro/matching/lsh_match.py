@@ -29,7 +29,7 @@ class LshMatcher:
         self.index = LshIndex(
             params=params, seed=seed, max_probes_per_table=max_probes_per_table
         )
-        self.index.build(descriptors, np.arange(descriptors.shape[0]))
+        self.index.build(descriptors)
 
     @property
     def size(self) -> int:
@@ -50,15 +50,11 @@ class LshMatcher:
         if not 0 < ratio <= 1:
             raise ValueError(f"ratio must be in (0, 1], got {ratio}")
         queries = np.asarray(queries, dtype=np.float32)
-        results = self.index.query_batch(queries, num_neighbors=2)
-        query_rows: list[int] = []
-        database_rows: list[int] = []
-        for row, matches in enumerate(results):
-            if not matches:
-                continue
-            if len(matches) == 1 or matches[0].distance < ratio * matches[1].distance:
-                query_rows.append(row)
-                database_rows.append(matches[0].item_id)
-        return np.array(query_rows, dtype=np.int64), np.array(
-            database_rows, dtype=np.int64
-        )
+        query_rows, rows, distances = self.index.query_batch(queries, num_neighbors=2)
+        # Each query's first match, accepted if it is the only one or
+        # clearly closer than the second.
+        first = np.flatnonzero(np.diff(query_rows, prepend=-1))
+        alone = np.diff(first, append=query_rows.size) == 1
+        second = distances[np.minimum(first + 1, distances.size - 1)]
+        keep = first[alone | (distances[first] < ratio * second)]
+        return query_rows[keep], rows[keep]

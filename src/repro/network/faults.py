@@ -283,8 +283,10 @@ class FaultyChannel:
             serialization = self.inner.serialization_seconds(num_bytes)
         return serialization + self.inner.rtt_ms / 1e3
 
-    def _raise_fault(self, kind: str, num_bytes: int, direction: str) -> None:
-        elapsed = self._fault_elapsed(kind, num_bytes, direction)
+    def _raise_fault(
+        self, kind: str, num_bytes: int, direction: str, elapsed: float
+    ) -> None:
+        """Account a failed attempt that took ``elapsed`` seconds, then raise."""
         if kind == "outage":
             self._account_outage(elapsed)
         self._notify(kind, num_bytes, elapsed, direction)
@@ -342,7 +344,9 @@ class FaultyChannel:
             return self.inner.transfer_seconds(num_bytes, rng)
         kind = self._advance()
         if kind in ("loss", "outage"):
-            self._raise_fault(kind, num_bytes, "up")
+            self._raise_fault(
+                kind, num_bytes, "up", self._fault_elapsed(kind, num_bytes, "up")
+            )
         effective = self._dipped() if kind == "dip" else self.inner
         seconds = effective.transfer_seconds(num_bytes, rng)
         self._notify(kind or "ok", num_bytes, seconds, "up")
@@ -356,7 +360,9 @@ class FaultyChannel:
             return self.inner.response_seconds(num_bytes, rng)
         kind = self._advance()
         if kind in ("loss", "outage"):
-            self._raise_fault(kind, num_bytes, "down")
+            self._raise_fault(
+                kind, num_bytes, "down", self._fault_elapsed(kind, num_bytes, "down")
+            )
         effective = self._dipped() if kind == "dip" else self.inner
         seconds = effective.response_seconds(num_bytes, rng)
         self._notify(kind or "ok", num_bytes, seconds, "down")
@@ -390,38 +396,11 @@ class FaultyChannel:
         if self.spec.is_null and not self._observers:
             return self.inner.serialization_seconds(num_bytes)
         kind = self._advance()
-        if kind in ("loss", "outage"):
-            elapsed = (
-                0.0
-                if kind == "outage"
-                else self.inner.serialization_seconds(num_bytes)
-            )
-            if kind == "outage":
-                self._account_outage(elapsed)
-            self._notify(kind, num_bytes, elapsed, "up")
-            record_span(
-                "network.fault",
-                elapsed,
-                channel=self.inner.name,
-                kind=kind,
-                bytes=int(num_bytes),
-                direction="up",
-            )
-            registry = current_registry()
-            if registry is not None:
-                registry.counter(
-                    "network_faults_injected_total",
-                    help="transfer attempts killed by the fault injector",
-                    channel=self.inner.name,
-                    kind=kind,
-                ).inc()
-                if kind == "loss":
-                    registry.counter(
-                        "network_wasted_bytes_total",
-                        help="bytes transmitted on attempts that were lost",
-                        channel=self.inner.name,
-                    ).inc(num_bytes)
-            raise TransferError(kind, elapsed, direction="up", channel=self.name)
+        if kind == "outage":
+            self._raise_fault(kind, num_bytes, "up", 0.0)
+        if kind == "loss":
+            serialization = self.inner.serialization_seconds(num_bytes)
+            self._raise_fault(kind, num_bytes, "up", serialization)
         effective = self._dipped() if kind == "dip" else self.inner
         seconds = effective.serialization_seconds(num_bytes)
         self._notify(kind or "ok", num_bytes, seconds, "up")

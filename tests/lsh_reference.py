@@ -10,22 +10,47 @@ loop that converts every candidate to float64 and sorts it — so the
 parity suite in ``tests/test_lsh.py`` can check the fast paths against
 them.  It reads the index's projections and row storage directly and
 never mutates them.
+
+The index answers a batch with flat ``(query_rows, rows, distances)``
+arrays; :func:`per_query` rebuilds them into the per-query lists of
+:class:`Match` that the reference returns, so the two compare with ``==``.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.hashing.murmur3 import murmur3_32_vectors
-from repro.lsh import LshIndex, LshMatch, QuantizedBuckets, StableProjections
+from repro.lsh import LshIndex, QuantizedBuckets, StableProjections
 
 __all__ = [
+    "Match",
     "candidate_rows_reference",
     "inline_probe_schedule",
+    "per_query",
     "project_reference",
     "query_batch_reference",
     "tables_reference",
 ]
+
+
+class Match(NamedTuple):
+    """One neighbour: the stored row (the payload id) and its distance."""
+
+    row: int
+    distance: float
+
+
+def per_query(
+    result: tuple[np.ndarray, np.ndarray, np.ndarray], num_queries: int
+) -> list[list[Match]]:
+    """``query_batch``'s flat arrays as one (possibly empty) list per query."""
+    lists: list[list[Match]] = [[] for _ in range(num_queries)]
+    for query, row, distance in zip(*(array.tolist() for array in result)):
+        lists[query].append(Match(row, distance))
+    return lists
 
 
 def project_reference(projections: StableProjections, descriptors: np.ndarray) -> np.ndarray:
@@ -45,7 +70,7 @@ def tables_reference(index: LshIndex) -> list[dict[int, np.ndarray]]:
     Rows are inserted in stored order and each bucket keeps its first
     ``max_bucket_size`` rows, one bucket at a time.
     """
-    stored = index._store[: index.size]
+    stored = index.descriptors
     quantized = QuantizedBuckets(index.projections.quantize(stored))
     tables: list[dict[int, np.ndarray]] = []
     for table in range(index.params.num_tables):
@@ -123,12 +148,11 @@ def candidate_rows_reference(
 
 def query_batch_reference(
     index: LshIndex, descriptors: np.ndarray, num_neighbors: int = 1
-) -> list[list[LshMatch]]:
+) -> list[list[Match]]:
     """Every candidate's exact float64 distance, sorted with ``argsort``."""
     descriptors = np.asarray(descriptors, dtype=np.float32)
-    stored = index._store[: index.size]
-    item_ids = index._ids_store[: index.size]
-    results: list[list[LshMatch]] = []
+    stored = index.descriptors
+    results: list[list[Match]] = []
     for query, rows in zip(descriptors, candidate_rows_reference(index, descriptors)):
         if rows.size == 0:
             results.append([])
@@ -136,10 +160,5 @@ def query_batch_reference(
         deltas = stored[rows].astype(np.float64) - query.astype(np.float64)
         distances = np.sqrt((deltas**2).sum(axis=1))
         order = np.argsort(distances)[:num_neighbors]
-        results.append(
-            [
-                LshMatch(item_id=int(item_ids[rows[i]]), distance=float(distances[i]))
-                for i in order
-            ]
-        )
+        results.append([Match(int(rows[i]), float(distances[i])) for i in order])
     return results

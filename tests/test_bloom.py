@@ -15,6 +15,7 @@ from repro.bloom import (
     optimal_num_bits,
     optimal_num_hashes,
     serialize_counting,
+    serialize_verification,
 )
 
 
@@ -204,3 +205,40 @@ class TestSnapshotSerialization:
 
         with pytest.raises(ValueError):
             deserialize_counting(gzip.compress(b"XXXXgarbage"))
+
+
+class TestReproduciblePayloads:
+    def test_gzip_payloads_ignore_the_wall_clock(self, rng, monkeypatch):
+        """GZIP header bytes 4-7 hold MTIME: every payload pins it to 0."""
+        import time
+
+        from repro.core import diff_counting_filters
+        from repro.features import KeypointSet, serialize_keypoints
+
+        old = CountingBloomFilter(1 << 12, 4)
+        new = CountingBloomFilter(1 << 12, 4)
+        new.add(_vectors(rng, 300))
+        verification = VerificationBloomFilter(1 << 12)
+        verification.add(rng.integers(0, 1024, size=(30, 4)))
+        count = 20
+        keypoints = KeypointSet(
+            positions=rng.uniform(0, 100, (count, 2)).astype(np.float32),
+            scales=np.ones(count, np.float32),
+            orientations=np.zeros(count, np.float32),
+            responses=np.ones(count, np.float32),
+            descriptors=rng.integers(0, 256, (count, 128)).astype(np.float32),
+        )
+
+        def payloads() -> list[bytes]:
+            return [
+                serialize_counting(new).payload,
+                serialize_verification(verification).payload,
+                diff_counting_filters(old, new).payload,
+                serialize_keypoints(keypoints, compress=True),
+            ]
+
+        monkeypatch.setattr(time, "time", lambda: 1_000_000_000.0)
+        first = payloads()
+        monkeypatch.setattr(time, "time", lambda: 1_700_000_000.0)
+        assert payloads() == first
+        assert all(payload[4:8] == bytes(4) for payload in first)

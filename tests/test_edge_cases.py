@@ -48,9 +48,10 @@ class TestTinyInputs:
     def test_lsh_single_descriptor(self):
         index = LshIndex(E2LSHParams(num_tables=2))
         descriptor = np.full((1, 128), 100.0, dtype=np.float32)
-        index.build(descriptor, np.array([7]))
-        matches = index.query(descriptor[0])
-        assert matches[0].item_id == 7
+        index.build(descriptor)
+        ids = np.array([7])  # the caller's payload id for stored row 0
+        _, rows, _ = index.query_batch(descriptor)
+        assert ids[rows].tolist() == [7]
 
 
 class TestDegenerateGeometry:

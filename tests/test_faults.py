@@ -45,9 +45,11 @@ from repro.network import (
     submit_payload,
 )
 from repro.obs import (
+    EventLog,
     MetricsRegistry,
     TraceCollector,
     use_collector,
+    use_event_log,
     use_registry,
 )
 
@@ -386,6 +388,59 @@ class TestStreamRetries:
             )
 
         assert run().events == run().events
+
+    def test_lossy_stream_attempt_accounting(self):
+        """Each failed attempt is observed, spanned, counted and costed once.
+
+        A loss costs the frame's serialization and an outage costs
+        nothing; the seeded totals pin this run's fault sequence.
+        """
+        registry = MetricsRegistry()
+        collector = TraceCollector()
+        log = EventLog()
+        attempts: list[tuple] = []
+        spec = FaultSpec(loss=0.3, outage_enter=0.15, outage_exit=0.4, seed=5)
+        channel = FaultyChannel(_channel(), spec)
+        channel.add_observer(lambda *attempt: attempts.append(attempt))
+        with use_registry(registry), use_collector(collector), use_event_log(log):
+            trace = simulate_stream(
+                "s",
+                [20_000] * 40,
+                channel,
+                capture_fps=2.0,
+                retry=RetryPolicy(max_attempts=3, budget_seconds=2.0),
+            )
+        faults = [attempt for attempt in attempts if attempt[0] in ("loss", "outage")]
+        for kind, num_bytes, elapsed, direction in faults:
+            assert direction == "up"
+            air_time = channel.serialization_seconds(num_bytes)
+            assert elapsed == (air_time if kind == "loss" else 0.0)
+        spans = [span for span in collector.roots if span.name == "network.fault"]
+        assert [
+            (span.attributes["kind"], span.attributes["bytes"]) for span in spans
+        ] == [(kind, num_bytes) for kind, num_bytes, _, _ in faults]
+        for span, (_, _, elapsed, _) in zip(spans, faults):
+            assert span.duration_seconds == pytest.approx(elapsed, abs=1e-12)
+
+        def faults_of(kind: str) -> float:
+            return registry.counter(
+                "network_faults_injected_total", channel="t", kind=kind
+            ).value
+
+        losses = sum(kind == "loss" for kind, *_ in faults)
+        outages = sum(kind == "outage" for kind, *_ in faults)
+        assert (faults_of("loss"), faults_of("outage")) == (losses, outages)
+        assert registry.counter(
+            "network_wasted_bytes_total", channel="t"
+        ).value == 20_000 * losses
+        assert registry.counter(
+            "channel_outage_seconds_total", channel="t"
+        ).value == 0.0
+        assert (losses, outages, len(trace.events)) == (13, 37, 25)
+        assert len(log.by_kind("channel.outage_enter")) == 9
+        exits = log.by_kind("channel.outage_exit")
+        assert [record["attempts"] for record in exits] == [2, 10, 1, 3, 10, 2, 5, 1, 3]
+        assert sum(record["attempts"] for record in exits) == outages
 
 
 def _synthetic_fingerprint(count: int = 64) -> Fingerprint:

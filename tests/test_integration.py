@@ -168,7 +168,7 @@ class TestLocalizationPipeline:
 
     def test_lookup_memory_exceeds_oracle(self, stack):
         _, server, _ = stack
-        assert server.lookup_memory_bytes() > server.oracle_download_bytes()
+        assert server.lookup.memory_bytes() > server.oracle_download_bytes()
 
 
 class TestClientOverheadPipeline:

@@ -22,6 +22,7 @@ from repro.lsh.multiprobe import ranked_perturbations
 from tests.lsh_reference import (
     candidate_rows_reference,
     inline_probe_schedule,
+    per_query,
     project_reference,
     query_batch_reference,
     tables_reference,
@@ -176,28 +177,26 @@ class TestLshIndex:
     @pytest.fixture(scope="class")
     def index(self, descriptors_1k):
         idx = LshIndex(E2LSHParams(), seed=1)
-        idx.build(descriptors_1k, np.arange(1000))
+        idx.build(descriptors_1k)
         return idx
 
     def test_exact_self_query(self, index, descriptors_1k):
-        matches = index.query(descriptors_1k[42], num_neighbors=1)
-        assert matches and matches[0].item_id == 42
-        assert matches[0].distance == pytest.approx(0.0, abs=1e-5)
+        query_rows, rows, distances = index.query_batch(descriptors_1k[42:43], 1)
+        assert query_rows.tolist() == [0] and rows.tolist() == [42]
+        assert distances[0] == pytest.approx(0.0, abs=1e-5)
 
     def test_noisy_query_recovers_neighbor(self, index, descriptors_1k, rng):
         hits = 0
         for row in range(50):
             noisy = np.clip(descriptors_1k[row] + rng.normal(0, 2, 128), 0, 255)
-            matches = index.query(noisy, num_neighbors=1)
-            hits += bool(matches) and matches[0].item_id == row
+            _, rows, _ = index.query_batch(noisy[None], num_neighbors=1)
+            hits += rows.tolist() == [row]
         assert hits >= 45  # multiprobe keeps recall high
 
     def test_query_batch_matches_single(self, index, descriptors_1k):
-        batch = index.query_batch(descriptors_1k[:5], num_neighbors=2)
+        batch = per_query(index.query_batch(descriptors_1k[:5], num_neighbors=2), 5)
         for row, single in enumerate(descriptors_1k[:5]):
-            assert [m.item_id for m in index.query(single, 2)] == [
-                m.item_id for m in batch[row]
-            ]
+            assert per_query(index.query_batch(single[None], 2), 1) == [batch[row]]
 
     def test_memory_exceeds_descriptor_bytes(self, index, descriptors_1k):
         # L-fold bucket replication: the Fig. 15 LSH overhead.
@@ -205,17 +204,13 @@ class TestLshIndex:
 
     def test_empty_index_raises(self, descriptors_1k):
         with pytest.raises(RuntimeError):
-            LshIndex().query(descriptors_1k[0])
-
-    def test_mismatched_ids_rejected(self, descriptors_1k):
-        with pytest.raises(ValueError):
-            LshIndex().build(descriptors_1k, np.arange(5))
+            LshIndex().query_batch(descriptors_1k[:1])
 
     def test_bucket_cap_enforced(self, rng):
         # 500 identical descriptors must not make buckets of size 500.
         duplicated = np.tile(rng.integers(0, 255, 128).astype(np.float32), (500, 1))
         idx = LshIndex(E2LSHParams(num_tables=2), max_bucket_size=32)
-        idx.build(duplicated, np.arange(500))
+        idx.build(duplicated)
         for table in idx._tables:
             # One bucket holding the first 32 rows.
             assert table.keys.size == 1
@@ -224,17 +219,19 @@ class TestLshIndex:
 
     def test_rejected_insert_leaves_index_untouched(self, descriptors_1k):
         untouched = LshIndex(E2LSHParams(), seed=1)
-        untouched.insert(descriptors_1k[:500], np.arange(500))
+        untouched.insert(descriptors_1k[:500])
         index = LshIndex(E2LSHParams(), seed=1)
-        index.insert(descriptors_1k[:500], np.arange(500))
+        index.insert(descriptors_1k[:500])
         with pytest.raises(ValueError, match="2\\^20"):
-            index.insert(np.full((1, 128), 1e12, np.float32), np.array([500]))
+            index.insert(np.full((1, 128), 1e12, np.float32))
         assert index.size == untouched.size == 500
         assert index.memory_bytes() == untouched.memory_bytes()
         for got, want in zip(index._tables, untouched._tables):
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
         queries = descriptors_1k[::50]
-        assert index.query_batch(queries, 3) == untouched.query_batch(queries, 3)
+        assert per_query(index.query_batch(queries, 3), 20) == per_query(
+            untouched.query_batch(queries, 3), 20
+        )
 
     # Casting a non-finite projection to int64 warns before the range
     # check rejects it.
@@ -242,22 +239,24 @@ class TestLshIndex:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_row_rejected_untouched(self, descriptors_1k, value):
         index = LshIndex(E2LSHParams(), seed=1)
-        index.insert(descriptors_1k[:500], np.arange(500))
+        index.insert(descriptors_1k[:500])
         memory = index.memory_bytes()
         queries = descriptors_1k[::50]
-        before = index.query_batch(queries, 3)
+        before = per_query(index.query_batch(queries, 3), 20)
         with pytest.raises(ValueError):
-            index.insert(np.full((1, 128), value, np.float32), np.array([500]))
+            index.insert(np.full((1, 128), value, np.float32))
         assert index.size == 500
         assert index.memory_bytes() == memory
-        assert index.query_batch(queries, 3) == before
+        assert per_query(index.query_batch(queries, 3), 20) == before
 
     def test_payload_ids_returned(self, descriptors_1k):
         idx = LshIndex(E2LSHParams(num_tables=4), seed=2)
-        ids = np.arange(1000) * 7  # arbitrary payload ids
-        idx.build(descriptors_1k, ids)
-        matches = idx.query(descriptors_1k[10])
-        assert matches[0].item_id == 70
+        idx.build(descriptors_1k)
+        ids = np.arange(1000) * 7  # the caller's payload ids, by stored row
+        _, rows, _ = idx.query_batch(descriptors_1k[10:11])
+        assert ids[rows].tolist() == [70]
+        assert np.shares_memory(idx.descriptors, idx._store)
+        assert np.array_equal(idx.descriptors, descriptors_1k.astype(np.float32))
 
 
 class TestSharedProbeSchedule:
@@ -286,7 +285,7 @@ def _exact_ranking(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reference candidates and their exact float64 distances, by (distance, row)."""
     rows = candidate_rows_reference(index, query[None], tables)[0]
-    deltas = index._store[rows].astype(np.float64) - query.astype(np.float64)
+    deltas = index.descriptors[rows].astype(np.float64) - query.astype(np.float64)
     distances = np.sqrt((deltas**2).sum(axis=1))
     order = np.lexsort((rows, distances))
     return rows[order], distances[order]
@@ -295,23 +294,26 @@ def _exact_ranking(
 def _assert_parity(index: LshIndex, queries: np.ndarray, k: int) -> None:
     """Fast path vs the test-only reference, row by row.
 
-    Distances are bit-identical; ``item_id``s agree except where the
-    reference's unstable argsort broke an exact-distance tie; and the
-    fast path returns exactly the first k candidates by (distance, row).
+    Distances are bit-identical; rows agree except where the reference's
+    unstable argsort broke an exact-distance tie; and the fast path
+    returns exactly the first k candidates by (distance, row), as flat
+    int64/int64/float64 arrays sorted by query.
     """
     queries = np.asarray(queries, dtype=np.float32)
-    fast = index.query_batch(queries, num_neighbors=k)
+    result = index.query_batch(queries, num_neighbors=k)
+    assert [array.dtype for array in result] == [np.int64, np.int64, np.float64]
+    assert np.all(np.diff(result[0]) >= 0)
+    fast = per_query(result, queries.shape[0])
     reference = query_batch_reference(index, queries, num_neighbors=k)
-    row_of = {int(item): row for row, item in enumerate(index._ids_store[: index.size])}
     tables = tables_reference(index)
     for query, got, want in zip(queries, fast, reference):
         rows, distances = _exact_ranking(index, query, tables)
         assert [m.distance for m in got] == [m.distance for m in want]
         assert [m.distance for m in got] == distances[:k].tolist()
         for g, w in zip(got, want):
-            if g.item_id != w.item_id:
+            if g.row != w.row:
                 assert np.count_nonzero(distances == g.distance) > 1
-        assert [row_of[m.item_id] for m in got] == rows[:k].tolist()
+        assert [m.row for m in got] == rows[:k].tolist()
 
 
 @st.composite
@@ -350,7 +352,7 @@ class TestQueryParity:
         # work to do and exact ties among duplicate rows are common.
         params = E2LSHParams(num_tables=num_tables, num_projections=2, quantization_width=2500.0)
         index = LshIndex(params, seed=seed % 1000)
-        index.build(table, np.arange(table.shape[0]) * 7 + 3)
+        index.build(table)
         _assert_parity(index, queries, k)
 
     @pytest.mark.parametrize("zero", [False, True])
@@ -359,19 +361,20 @@ class TestQueryParity:
         row = np.zeros(128, np.float32) if zero else rng.integers(0, 256, 128).astype(np.float32)
         table = np.tile(row, (6, 1))
         index = LshIndex(E2LSHParams(num_tables=2))
-        index.build(table, np.arange(6) * 10)
-        matches = index.query(row, num_neighbors=3)
-        assert [m.item_id for m in matches] == [0, 10, 20]
-        assert all(m.distance == 0.0 for m in matches)
+        index.build(table)
+        ids = np.arange(6) * 10  # the caller's payload ids, by stored row
+        _, rows, distances = index.query_batch(row[None], num_neighbors=3)
+        assert ids[rows].tolist() == [0, 10, 20]
+        assert (distances == 0.0).all()
 
     def test_query_without_candidates(self, descriptors_1k):
         index = LshIndex(E2LSHParams(num_tables=2), seed=4)
-        index.build(descriptors_1k[:50], np.arange(50))
+        index.build(descriptors_1k[:50])
         far = np.full((1, 128), -5000.0, dtype=np.float32)
         assert candidate_rows_reference(index, far)[0].size == 0
-        assert index.query_batch(far, num_neighbors=2) == [[]]
-        assert index.query(far[0]) == []
-        assert index.query_batch(np.empty((0, 128), np.float32), num_neighbors=2) == []
+        assert per_query(index.query_batch(far, num_neighbors=2), 1) == [[]]
+        for array in index.query_batch(np.empty((0, 128), np.float32), num_neighbors=2):
+            assert array.size == 0
 
     def test_kth_bound_never_below_the_kth_value(self):
         values = np.array([-0.0, -0.0, 5.0, 6.0, np.nan, 1.0, -3.0, 2.0, 1e300, 7.5])
@@ -390,10 +393,10 @@ class TestQueryParity:
         table = rng.integers(0, 256, (5, 128)).astype(np.float32)
         wide = E2LSHParams(num_tables=2, quantization_width=1e6)  # one bucket
         index = LshIndex(wide)
-        index.build(table, np.arange(5))
-        matches = index.query(table[2], num_neighbors=50)
-        assert len(matches) == 5
-        assert matches[0].item_id == 2
+        index.build(table)
+        _, rows, _ = index.query_batch(table[2:3], num_neighbors=50)
+        assert rows.size == 5
+        assert rows[0] == 2
         _assert_parity(index, table, 50)
 
     def test_overflowing_descriptors_fall_through_to_exact(self, rng):
@@ -404,10 +407,10 @@ class TestQueryParity:
             assert not np.isfinite(table[:2] @ table[0]).all()
         wide = E2LSHParams(num_tables=2, quantization_width=1e24)
         index = LshIndex(wide)
-        index.build(table, np.arange(40))
+        index.build(table)
         queries = table[:5] * np.float32(1.0 + 1e-3)
         _assert_parity(index, queries, 3)
-        assert index.query(table[7], num_neighbors=1)[0].item_id == 7
+        assert index.query_batch(table[7:8], num_neighbors=1)[1].tolist() == [7]
 
     def test_partial_overflow_keeps_the_row_for_exact_refine(self):
         # Row 0's float32 dot with the query overflows to +inf, so its
@@ -420,32 +423,34 @@ class TestQueryParity:
         near = np.zeros(128, np.float32)
         near[1] = 1e19
         index = LshIndex(E2LSHParams(num_tables=2, quantization_width=1e24))
-        index.build(np.stack([far, near]), np.array([10, 20]))
-        assert index.query(query, num_neighbors=1)[0].item_id == 20
+        index.build(np.stack([far, near]))
+        ids = np.array([10, 20])  # the caller's payload ids, by stored row
+        assert ids[index.query_batch(query[None], num_neighbors=1)[1]].tolist() == [20]
         _assert_parity(index, query[None], 1)
 
     def test_batched_inserts_equal_build(self, descriptors_1k):
         # 1,200 rows in batches of 130 outgrow the 1,024-row first capacity.
         table = np.vstack([descriptors_1k, descriptors_1k[:200] + 1.0])
         built = LshIndex(seed=6)
-        built.build(table, np.arange(1200))
+        built.build(table)
         grown = LshIndex(seed=6)
         for start in range(0, 1200, 130):
-            chunk = table[start : start + 130]
-            grown.insert(chunk, np.arange(start, start + chunk.shape[0]))
+            grown.insert(table[start : start + 130])
         assert np.array_equal(grown._norms_store[:1200], built._norms_store[:1200])
         queries = table[::37]
-        assert grown.query_batch(queries, 3) == built.query_batch(queries, 3)
+        assert per_query(grown.query_batch(queries, 3), 33) == per_query(
+            built.query_batch(queries, 3), 33
+        )
 
     def test_memory_bytes_counts_norms(self, descriptors_1k):
         index = LshIndex(seed=6)
-        index.build(descriptors_1k[:300], np.arange(300))
+        index.build(descriptors_1k[:300])
         buckets = sum(table.keys.size for table in index._tables)
         # uint64 key + int64 offset per bucket (plus one closing offset
-        # per table), int32 row per bucket entry; float32 descriptor,
-        # int64 id and float64 squared norm per stored row.
+        # per table), int32 row per bucket entry; float32 descriptor and
+        # float64 squared norm per stored row.
         tables = buckets * 16 + index.params.num_tables * (8 + 300 * 4)
-        assert index.memory_bytes() == tables + 300 * (128 * 4 + 8 + 8)
+        assert index.memory_bytes() == tables + 300 * (128 * 4 + 8)
 
 
 def _table_dict(table) -> dict[int, list[int]]:
@@ -461,7 +466,7 @@ class TestCsrTables:
     def test_layout_matches_reference_tables(self, descriptors_1k):
         table = np.vstack([descriptors_1k, descriptors_1k[:300]])  # full buckets
         index = LshIndex(E2LSHParams(), seed=2, max_bucket_size=2)
-        index.build(table, np.arange(1300))
+        index.build(table)
         for got, want in zip(index._tables, tables_reference(index)):
             assert np.all(np.diff(got.keys.astype(np.float64)) > 0)
             assert got.offsets[0] == 0 and got.offsets[-1] == got.rows.size
@@ -482,11 +487,11 @@ class TestCsrTables:
         table = distinct[rng.integers(0, 40, 1100 + sum(splits))]
         params = E2LSHParams(num_tables=3, num_projections=2, quantization_width=1500.0)
         built = LshIndex(params, seed=seed % 1000, max_bucket_size=cap)
-        built.build(table, np.arange(table.shape[0]))
+        built.build(table)
         grown = LshIndex(params, seed=seed % 1000, max_bucket_size=cap)
         bounds = np.cumsum([0, *splits, 1100]).tolist()
         for start, end in zip(bounds[:-1], bounds[1:]):
-            grown.insert(table[start:end], np.arange(start, end))
+            grown.insert(table[start:end])
         assert grown.size == built.size == table.shape[0]
         for got, want in zip(grown._tables, built._tables):
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -494,11 +499,10 @@ class TestCsrTables:
 
     def test_memory_bytes_tracks_allocations(self, rng):
         table = rng.integers(0, 256, (12_500, 128)).astype(np.float32)
-        ids = np.arange(12_500)
         index = LshIndex(seed=3)
         tracemalloc.start()
         try:
-            index.build(table, ids)
+            index.build(table)
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -14,6 +14,7 @@ from repro.matching import (
     vote_scene,
 )
 from repro.util.rng import rng_for
+from tests.lsh_reference import query_batch_reference
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +87,30 @@ class TestLshMatcher:
     def test_invalid_ratio(self, database):
         with pytest.raises(ValueError):
             LshMatcher(database).match(database[:1], ratio=0.0)
+
+    @pytest.mark.parametrize("ratio", [0.6, 0.8, 1.0])
+    def test_ratio_test_matches_list_reference(self, database, rng, ratio):
+        lsh = LshMatcher(database, seed=3)
+        queries = np.vstack(
+            [
+                np.clip(database[:40] + rng.normal(0, 8.0, (40, 128)), 0, 255),
+                rng.integers(0, 256, (20, 128)),
+                np.full((1, 128), -5000.0),  # no candidates at all
+            ]
+        ).astype(np.float32)
+        want_queries, want_rows = [], []
+        reference = query_batch_reference(lsh.index, queries, num_neighbors=2)
+        for query, matches in enumerate(reference):
+            if matches and (
+                len(matches) == 1 or matches[0].distance < ratio * matches[1].distance
+            ):
+                want_queries.append(query)
+                want_rows.append(matches[0].row)
+        got_queries, got_rows = lsh.match(queries, ratio=ratio)
+        assert got_queries.dtype == got_rows.dtype == np.int64
+        assert got_queries.tolist() == want_queries
+        assert got_rows.tolist() == want_rows
+        assert 0 < len(want_queries) < queries.shape[0]
 
 
 class TestRandomSubselect:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,41 @@ class TestIngest:
         assert (high >= positions.max(axis=0)).all()
 
 
+class TestRowStore:
+    """The lookup table is the one holder of the descriptor rows."""
+
+    def test_descriptors_are_a_read_only_view_of_the_index(self, populated_server):
+        server, descriptors, _ = populated_server
+        rows = server.descriptors
+        assert np.shares_memory(rows, server.lookup.descriptors)
+        assert np.array_equal(rows, descriptors.astype(np.float32))
+        assert not rows.flags.writeable
+        assert not server.positions.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1.0
+
+    def test_empty_server_has_no_rows(self):
+        server = VisualPrintServer(VisualPrintConfig(descriptor_capacity=1024))
+        assert server.descriptors.shape == (0, 128)
+        assert server.descriptors.dtype == np.float32
+        assert server.positions.shape == (0, 3)
+        assert server.num_mappings == 0
+
+    def test_restore_holds_one_copy_of_the_rows(self):
+        rng = np.random.default_rng(19)
+        descriptors = rng.integers(0, 256, (2000, 128)).astype(np.float32)
+        positions = rng.uniform(0, 10, (2000, 3))
+        server = VisualPrintServer(VisualPrintConfig(descriptor_capacity=4096))
+        tracemalloc.start()
+        try:
+            server.restore_state(descriptors, positions)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        expected = server.lookup.memory_bytes() + server.positions.nbytes
+        assert abs(held - expected) <= 0.05 * expected
+
+
 class TestLocalize:
     def test_clustering_rejects_minority(self, populated_server, rng):
         """Querying with cluster-A descriptors plus a few from cluster B:
@@ -135,7 +172,7 @@ class TestLocalize:
 class TestFootprints:
     def test_lookup_memory_positive(self, populated_server):
         server, _, _ = populated_server
-        assert server.lookup_memory_bytes() > 0
+        assert server.lookup.memory_bytes() > 0
 
     def test_oracle_download_positive(self, populated_server):
         server, _, _ = populated_server
