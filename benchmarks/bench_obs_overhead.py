@@ -21,6 +21,7 @@ Four assertions the obs subsystem must keep true as it grows:
 
 from __future__ import annotations
 
+import gc
 import time
 
 import numpy as np
@@ -73,19 +74,27 @@ def test_counts_instrumentation_overhead(benchmark):
     # noise hit both equally, and swap which side goes first on every
     # iteration: the second call of a back-to-back pair can read slower
     # on a shared host, which a fixed order charges to one side only.
-    # Best-of keeps the cleanest run of each.
+    # Best-of keeps the cleanest run of each; 45 repeats give each side
+    # enough chances at a clean run, and the collector stays off so a
+    # garbage-collection pause cannot land in one side's timings only.
     best = {"baseline": float("inf"), "instrumented": float("inf")}
     sides = [("baseline", baseline), ("instrumented", instrumented)]
 
     def interleaved() -> None:
-        for iteration in range(15):
+        for iteration in range(45):
             ordered = sides if iteration % 2 == 0 else sides[::-1]
             for name, oracle in ordered:
                 start = time.perf_counter()
                 oracle.counts(descriptors)
                 best[name] = min(best[name], time.perf_counter() - start)
 
-    benchmark.pedantic(interleaved, rounds=1, iterations=1)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        benchmark.pedantic(interleaved, rounds=1, iterations=1)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     baseline_seconds, instrumented_seconds = best["baseline"], best["instrumented"]
     # Small absolute epsilon absorbs scheduler noise on sub-ms timings.
     assert instrumented_seconds <= baseline_seconds * _OVERHEAD_BUDGET + 5e-5, (

@@ -5,8 +5,9 @@ Two before/after measurements, both asserted bit-identical:
 * ``build_workload`` at ``workers=1`` versus ``workers=4`` — the pool
   speedup scales with physical cores (a 1-core host only measures pool
   overhead; see ``host_cpus`` in the emitted file).
-* ``lookup_batch`` vectorized versus the retained scalar reference
-  walk on a 500-descriptor batch — a pure single-core win.
+* ``lookup_batch`` vectorized versus the scalar reference walk in
+  tests/oracle_reference.py on a 500-descriptor batch — a pure
+  single-core win.
 
 Rows land in BENCH_parallel.json via ``conftest.pytest_sessionfinish``
 so future PRs can track the perf curve.
@@ -22,6 +23,7 @@ from repro.core.config import VisualPrintConfig
 from repro.core.oracle import UniquenessOracle
 from repro.evaluation.datasets import build_workload
 from repro.util.rng import rng_for
+from tests.oracle_reference import lookup_batch_reference
 
 _POOL_WORKERS = 4
 
@@ -82,7 +84,9 @@ def test_lookup_batch_vectorized(parallel_trajectory):
         ]
     ).astype(np.float32)
 
-    scalar, scalar_seconds = _timed(lambda: oracle._lookup_batch_scalar(queries))
+    (scalar, _), scalar_seconds = _timed(
+        lambda: lookup_batch_reference(oracle, queries)
+    )
     vectorized, vectorized_seconds = _timed(lambda: oracle.lookup_batch(queries))
 
     assert vectorized == scalar

@@ -1,10 +1,11 @@
 """Client hot-path trajectory: batched SIFT, packed oracle, zero-copy wire.
 
-Every before/after pair here times the *retained reference
-implementation* against the batched hot path on the same seeded frame,
-with the parity contract asserted in the same breath (geometry
-bit-identical, descriptors within ±1 integer step — see
-tests/test_sift_parity.py for the exhaustive version).
+Every before/after pair here times the *reference implementation* (the
+test-only twins in tests/sift_reference.py and tests/oracle_reference.py)
+against the batched hot path on the same seeded frame, with the parity
+contract asserted in the same breath (geometry bit-identical,
+descriptors within ±1 integer step — see tests/test_sift_parity.py for
+the exhaustive version).
 
 Rows land in BENCH_sift.json via ``conftest.pytest_sessionfinish``; the
 single-core extract row is mirrored into BENCH_parallel.json as the
@@ -27,12 +28,14 @@ import numpy as np
 from repro.core.client import VisualPrintClient
 from repro.core.config import VisualPrintConfig
 from repro.core.oracle import UniquenessOracle
-from repro.features.serialize import serialize_keypoints, serialize_keypoints_into
+from repro.features.serialize import serialize_keypoints_into
 from repro.features.sift import SiftExtractor, SiftParams
 from repro.imaging import scene_image
 from repro.imaging.synth import BuildingMotifs
 from repro.lsh.buckets import QuantizedBuckets
 from repro.util.rng import rng_for
+from tests.oracle_reference import indices_reference
+from tests.sift_reference import extract_reference, serialize_keypoints_reference
 
 _FRAME_SIZE = (256, 256)
 
@@ -71,7 +74,7 @@ def _counts_reference(
         unpacked = oracle.counting.counters
     estimate = np.full(quantized.num_items, np.iinfo(np.int64).max, dtype=np.int64)
     for table, family in enumerate(oracle._families):
-        indices = family.indices_reference(quantized.table_vectors(table))
+        indices = indices_reference(family, quantized.table_vectors(table))
         np.minimum(
             estimate, unpacked[indices].min(axis=1).astype(np.int64), out=estimate
         )
@@ -83,7 +86,7 @@ def test_extract_batched_vs_reference(sift_trajectory, parallel_trajectory):
     extractor = SiftExtractor(SiftParams(contrast_threshold=0.01))
 
     fast = extractor.extract(frame)
-    ref = extractor.extract_reference(frame)
+    ref = extract_reference(extractor, frame)
     assert np.array_equal(fast.positions, ref.positions)
     assert np.array_equal(fast.scales, ref.scales)
     assert np.array_equal(fast.orientations, ref.orientations)
@@ -91,7 +94,7 @@ def test_extract_batched_vs_reference(sift_trajectory, parallel_trajectory):
     descriptor_diff = float(np.abs(fast.descriptors - ref.descriptors).max())
     assert descriptor_diff <= 1.0
 
-    ref_seconds = _best_of(lambda: extractor.extract_reference(frame))
+    ref_seconds = _best_of(lambda: extract_reference(extractor, frame))
     fast_seconds = _best_of(lambda: extractor.extract(frame))
 
     row = {
@@ -138,9 +141,11 @@ def test_serialize_zero_copy_vs_reference(sift_trajectory):
 
     buffer = bytearray()
     size = serialize_keypoints_into(keypoints, buffer)
-    assert bytes(buffer[:size]) == serialize_keypoints(keypoints)
+    assert bytes(buffer[:size]) == serialize_keypoints_reference(keypoints)
 
-    ref_seconds = _best_of(lambda: serialize_keypoints(keypoints), repeats=20)
+    ref_seconds = _best_of(
+        lambda: serialize_keypoints_reference(keypoints), repeats=20
+    )
     fast_seconds = _best_of(
         lambda: serialize_keypoints_into(keypoints, buffer), repeats=20
     )
@@ -166,11 +171,11 @@ def test_process_frame_end_to_end(sift_trajectory):
     unpacked = oracle.counting.counters
 
     def reference_pipeline():
-        keypoints = extractor.extract_reference(frame)
+        keypoints = extract_reference(extractor, frame)
         counts = _counts_reference(oracle, keypoints.descriptors, unpacked)
         order = oracle.rank_by_uniqueness(keypoints.descriptors, counts=counts)
         kept = keypoints.select(order[: config.fingerprint_size])
-        return serialize_keypoints(kept)
+        return serialize_keypoints_reference(kept)
 
     reference_pipeline()  # warm caches
     client.process_frame(frame)

@@ -12,12 +12,20 @@ from __future__ import annotations
 
 import json
 import platform
+import sys
 from pathlib import Path
 
 import pytest
 
 from repro.obs import MetricsRegistry, use_registry
 from repro.parallel import default_workers
+
+# The parity benches time the library against the test-only references
+# in tests/*_reference.py, imported as the ``tests`` package from the
+# repository root.
+_REPO_ROOT = str(Path(__file__).resolve().parent.parent)
+if _REPO_ROOT not in sys.path:
+    sys.path.insert(0, _REPO_ROOT)
 
 # Session-wide trajectory rows, keyed by output filename; each non-empty
 # entry is written at session end so future PRs can track the curves.

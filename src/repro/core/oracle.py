@@ -44,7 +44,7 @@ from repro.bloom.verification import VerificationBloomFilter
 from repro.core.config import VisualPrintConfig
 from repro.hashing.families import Murmur3Family
 from repro.lsh.buckets import QuantizedBuckets
-from repro.lsh.multiprobe import perturbation_sets, ranked_perturbations
+from repro.lsh.multiprobe import ranked_perturbations
 from repro.lsh.projections import StableProjections
 from repro.obs import MetricsRegistry, resolve_registry, trace_span
 
@@ -349,9 +349,15 @@ class UniquenessOracle:
         The scalar walk stopped at the first accepting probe per table;
         here all probes are evaluated and the first accept selected by
         ``argmax`` — same outcome, including which vetoes are counted
-        (only those before the first accept).  Bit-equivalent to
-        :meth:`_lookup_batch_scalar`, the retained reference
-        implementation.
+        (only those before the first accept).  Bit-equivalent to the
+        scalar probe walk kept as the test-only reference in
+        ``tests/oracle_reference.py``.
+
+        Presence needs a quorum of tables: with coarse quantization
+        (W = 500) a few "hotspot" buckets absorb many descriptors, so a
+        single-table accept is exactly the LSH/Bloom-interplay false
+        positive the paper warns about.  Requiring agreement from half
+        the tables mirrors the median aggregation of :meth:`counts`.
 
         One ``oracle.lookup_batch`` span covers the whole batch (span
         cost amortizes over the rows, keeping the hot path inside the
@@ -362,145 +368,61 @@ class UniquenessOracle:
         descriptors = np.asarray(descriptors, dtype=np.float32)
         if descriptors.ndim != 2:
             raise ValueError(f"descriptors must be 2-D, got {descriptors.shape}")
-        if descriptors.shape[0] == 0:
+        num = descriptors.shape[0]
+        if num == 0:
             return []
         with trace_span(
-            "oracle.lookup_batch",
-            registry=self._registry,
-            batch=int(descriptors.shape[0]),
+            "oracle.lookup_batch", registry=self._registry, batch=num
         ) as span:
-            results = self._lookup_batch_vectorized(descriptors)
-            span.set("present", sum(1 for r in results if r.present))
-        return results
-
-    def _lookup_batch_vectorized(
-        self, descriptors: np.ndarray
-    ) -> list[OracleLookup]:
-        descriptors = np.asarray(descriptors, dtype=np.float32)
-        if descriptors.ndim != 2:
-            raise ValueError(f"descriptors must be 2-D, got {descriptors.shape}")
-        num = descriptors.shape[0]
-        if num == 0:
-            return []
-        buckets, residuals = self.projections.quantize_with_residuals(descriptors)
-        quantized = QuantizedBuckets(buckets)
-        counts = self._counts_from_quantized(quantized)
-        num_hashes = self.config.bloom_hashes
-        quorum = (self.config.lsh.num_tables + 1) // 2
-        accepting_tables = np.zeros(num, dtype=np.int64)
-        used_multiprobe = np.zeros(num, dtype=bool)
-        multiprobe_accepts = 0
-        verification_vetoes = 0
-        for table, family in enumerate(self._families):
-            projections, deltas = ranked_perturbations(
-                residuals[:, table, :], self.config.max_probes_per_table
-            )
-            probes = quantized.probe_vectors(table, projections, deltas)
-            num_slots = probes.shape[1]  # original + P perturbations
-            indices = family.indices(probes.reshape(num * num_slots, -1))
-            probed = self.counting.gather(indices)
-            nonzero = (probed > 0).sum(axis=1)
-            match = (nonzero == num_hashes) | (nonzero == num_hashes - 1)
-            verified = self.verification.verify(indices)
-            accept = (match & verified).reshape(num, num_slots)
-            veto = (match & ~verified).reshape(num, num_slots)
-            any_accept = accept.any(axis=1)
-            first_accept = np.argmax(accept, axis=1)
-            # Vetoes are only observed up to (not including) the first
-            # accepting probe — the scalar walk broke out there.
-            cutoff = np.where(any_accept, first_accept, num_slots)
-            slot_index = np.arange(num_slots)[np.newaxis, :]
-            verification_vetoes += int(
-                (veto & (slot_index < cutoff[:, np.newaxis])).sum()
-            )
-            perturbed_accept = any_accept & (first_accept > 0)
-            accepting_tables += any_accept
-            used_multiprobe |= perturbed_accept
-            multiprobe_accepts += int(perturbed_accept.sum())
-        results = [
-            OracleLookup(
-                count=int(counts[row]),
-                present=bool(accepting_tables[row] >= quorum),
-                used_multiprobe=bool(used_multiprobe[row]),
-            )
-            for row in range(num)
-        ]
-        self._m_lookups_total.inc(num)
-        if multiprobe_accepts:
-            self._m_multiprobe_accepts.inc(multiprobe_accepts)
-        if verification_vetoes:
-            self._m_verification_vetoes.inc(verification_vetoes)
-        return results
-
-    def _lookup_batch_scalar(self, descriptors: np.ndarray) -> list[OracleLookup]:
-        """Reference per-row implementation of :meth:`lookup_batch`.
-
-        The pre-vectorization probe walk, kept (a) as the ground truth
-        the property tests compare the vectorized path against and (b)
-        as the baseline the ``bench_parallel`` trajectory measures.
-        """
-        descriptors = np.asarray(descriptors, dtype=np.float32)
-        if descriptors.ndim != 2:
-            raise ValueError(f"descriptors must be 2-D, got {descriptors.shape}")
-        num = descriptors.shape[0]
-        if num == 0:
-            return []
-        buckets, residuals = self.projections.quantize_with_residuals(descriptors)
-        quantized = QuantizedBuckets(buckets)
-        counts = self._counts_from_quantized(quantized)
-        counters = self.counting.counters
-        quorum = (self.config.lsh.num_tables + 1) // 2
-        multiprobe_accepts = 0
-        verification_vetoes = 0
-        results: list[OracleLookup] = []
-        for row in range(num):
-            row_quantized = QuantizedBuckets(buckets[row : row + 1])
-            accepting_tables = 0
-            used_multiprobe = False
+            buckets, residuals = self.projections.quantize_with_residuals(descriptors)
+            quantized = QuantizedBuckets(buckets)
+            counts = self._counts_from_quantized(quantized)
+            num_hashes = self.config.bloom_hashes
+            quorum = (self.config.lsh.num_tables + 1) // 2
+            accepting_tables = np.zeros(num, dtype=np.int64)
+            used_multiprobe = np.zeros(num, dtype=bool)
+            multiprobe_accepts = 0
+            verification_vetoes = 0
             for table, family in enumerate(self._families):
-                probes: list[tuple[np.ndarray, bool]] = [
-                    (row_quantized.table_vectors(table)[0], False)
-                ]
-                for projection, delta in perturbation_sets(
-                    residuals[row, table, :], self.config.max_probes_per_table
-                ):
-                    probes.append(
-                        (row_quantized.perturbed(table, projection, delta)[0], True)
-                    )
-                for vector, is_probe in probes:
-                    indices = family.indices(vector[np.newaxis, :])
-                    probed = counters[indices[0]]
-                    nonzero = int((probed > 0).sum())
-                    full_match = nonzero == self.config.bloom_hashes
-                    partial_match = nonzero == self.config.bloom_hashes - 1
-                    if not (full_match or partial_match):
-                        continue
-                    if not bool(self.verification.verify(indices)[0]):
-                        verification_vetoes += 1
-                        continue
-                    accepting_tables += 1
-                    if is_probe:
-                        used_multiprobe = True
-                        multiprobe_accepts += 1
-                    break  # original bucket first; stop at the first accept
-            # Presence needs a quorum of tables: with coarse quantization
-            # (W = 500) a few "hotspot" buckets absorb many descriptors,
-            # so a single-table accept is exactly the LSH/Bloom-interplay
-            # false positive the paper warns about.  Requiring agreement
-            # from half the tables mirrors the median aggregation of
-            # :meth:`counts`.
-            results.append(
+                projections, deltas = ranked_perturbations(
+                    residuals[:, table, :], self.config.max_probes_per_table
+                )
+                probes = quantized.probe_vectors(table, projections, deltas)
+                num_slots = probes.shape[1]  # original + P perturbations
+                indices = family.indices(probes.reshape(num * num_slots, -1))
+                probed = self.counting.gather(indices)
+                nonzero = (probed > 0).sum(axis=1)
+                match = (nonzero == num_hashes) | (nonzero == num_hashes - 1)
+                verified = self.verification.verify(indices)
+                accept = (match & verified).reshape(num, num_slots)
+                veto = (match & ~verified).reshape(num, num_slots)
+                any_accept = accept.any(axis=1)
+                first_accept = np.argmax(accept, axis=1)
+                # Vetoes are only observed up to (not including) the first
+                # accepting probe — the scalar walk broke out there.
+                cutoff = np.where(any_accept, first_accept, num_slots)
+                slot_index = np.arange(num_slots)[np.newaxis, :]
+                verification_vetoes += int(
+                    (veto & (slot_index < cutoff[:, np.newaxis])).sum()
+                )
+                perturbed_accept = any_accept & (first_accept > 0)
+                accepting_tables += any_accept
+                used_multiprobe |= perturbed_accept
+                multiprobe_accepts += int(perturbed_accept.sum())
+            results = [
                 OracleLookup(
                     count=int(counts[row]),
-                    present=accepting_tables >= quorum,
-                    used_multiprobe=used_multiprobe,
+                    present=bool(accepting_tables[row] >= quorum),
+                    used_multiprobe=bool(used_multiprobe[row]),
                 )
-            )
-        self._m_lookups_total.inc(num)
-        if multiprobe_accepts:
-            self._m_multiprobe_accepts.inc(multiprobe_accepts)
-        if verification_vetoes:
-            self._m_verification_vetoes.inc(verification_vetoes)
+                for row in range(num)
+            ]
+            self._m_lookups_total.inc(num)
+            if multiprobe_accepts:
+                self._m_multiprobe_accepts.inc(multiprobe_accepts)
+            if verification_vetoes:
+                self._m_verification_vetoes.inc(verification_vetoes)
+            span.set("present", sum(1 for r in results if r.present))
         return results
 
     def rank_by_uniqueness(

@@ -196,6 +196,13 @@ class VisualPrintServer:
                 )
             if not (np.isfinite(low).all() and np.isfinite(high).all()):
                 raise SnapshotCorruptError("restored bounds are non-finite")
+        try:
+            self.lookup.projections.check_range(descriptors)
+        except ValueError as error:
+            raise SnapshotCorruptError(
+                f"restored descriptors cannot be indexed: {error}"
+            ) from error
+        if bounds is not None:
             self._bounds = (low, high)
         self.lookup.build(descriptors)
         self._positions = positions

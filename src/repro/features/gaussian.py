@@ -64,32 +64,6 @@ class GaussianPyramid:
         return increments
 
     @classmethod
-    def _prepare(
-        cls,
-        image: np.ndarray,
-        num_octaves: int | None,
-        scales_per_octave: int,
-        base_sigma: float,
-        assumed_blur: float,
-    ) -> tuple[np.ndarray, int, int, np.ndarray, np.ndarray, "GaussianPyramid"]:
-        check_positive("scales_per_octave", scales_per_octave)
-        check_positive("base_sigma", base_sigma)
-        image = np.asarray(image, dtype=np.float32)
-        if image.ndim != 2:
-            raise ValueError(f"image must be 2-D grayscale, got {image.shape}")
-        if num_octaves is None:
-            num_octaves = max(1, int(np.log2(min(image.shape))) - 3)
-        levels = scales_per_octave + 3
-        k = 2.0 ** (1.0 / scales_per_octave)
-        sigmas = base_sigma * k ** np.arange(levels)
-        increments = cls._blur_increments(levels, sigmas, base_sigma, assumed_blur)
-        pyramid = cls(
-            octaves=[], sigmas=sigmas, scales_per_octave=scales_per_octave,
-            base_sigma=base_sigma,
-        )
-        return image, num_octaves, levels, sigmas, increments, pyramid
-
-    @classmethod
     def build(
         cls,
         image: np.ndarray,
@@ -104,11 +78,24 @@ class GaussianPyramid:
         the chain sequential by construction), but the per-level work
         runs through :func:`scipy.ndimage.correlate1d` with process-wide
         cached kernels and preallocated outputs — no per-call kernel
-        rebuild, no temporary allocations.  Bit-identical to the
-        ``gaussian_filter`` loop retained in :meth:`build_reference`.
+        rebuild, no temporary allocations.  Bit-identical to a
+        ``gaussian_filter`` loop (the reference in
+        ``tests/sift_reference.py``).
         """
-        image, num_octaves, levels, _, increments, pyramid = cls._prepare(
-            image, num_octaves, scales_per_octave, base_sigma, assumed_blur
+        check_positive("scales_per_octave", scales_per_octave)
+        check_positive("base_sigma", base_sigma)
+        image = np.asarray(image, dtype=np.float32)
+        if image.ndim != 2:
+            raise ValueError(f"image must be 2-D grayscale, got {image.shape}")
+        if num_octaves is None:
+            num_octaves = max(1, int(np.log2(min(image.shape))) - 3)
+        levels = scales_per_octave + 3
+        k = 2.0 ** (1.0 / scales_per_octave)
+        sigmas = base_sigma * k ** np.arange(levels)
+        increments = cls._blur_increments(levels, sigmas, base_sigma, assumed_blur)
+        pyramid = cls(
+            octaves=[], sigmas=sigmas, scales_per_octave=scales_per_octave,
+            base_sigma=base_sigma,
         )
         kernels = [_gaussian_correlation_kernel(increments[level]) for level in range(levels)]
         current = image
@@ -129,33 +116,6 @@ class GaussianPyramid:
                 source = stack[level]
             pyramid.octaves.append(stack)
             # Next octave seeds from the 2x-sigma level, halved.
-            current = stack[scales_per_octave][::2, ::2]
-        return pyramid
-
-    @classmethod
-    def build_reference(
-        cls,
-        image: np.ndarray,
-        num_octaves: int | None = None,
-        scales_per_octave: int = 3,
-        base_sigma: float = 1.6,
-        assumed_blur: float = 0.5,
-    ) -> "GaussianPyramid":
-        """The original per-level ``gaussian_filter`` loop (parity reference)."""
-        image, num_octaves, levels, _, increments, pyramid = cls._prepare(
-            image, num_octaves, scales_per_octave, base_sigma, assumed_blur
-        )
-        current = image
-        for _ in range(num_octaves):
-            if min(current.shape) < 8:
-                break
-            stack = np.empty((levels, *current.shape), dtype=np.float32)
-            stack[0] = ndimage.gaussian_filter(current, increments[0], mode="nearest")
-            for level in range(1, levels):
-                stack[level] = ndimage.gaussian_filter(
-                    stack[level - 1], increments[level], mode="nearest"
-                )
-            pyramid.octaves.append(stack)
             current = stack[scales_per_octave][::2, ::2]
         return pyramid
 

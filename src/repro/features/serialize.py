@@ -56,17 +56,16 @@ def serialized_size(count: int) -> int:
 
 
 def serialize_keypoints(keypoints: KeypointSet, compress: bool = False) -> bytes:
-    """Pack a keypoint set into its wire format (optionally GZIP'd)."""
-    count = len(keypoints)
-    meta = np.empty((count, 4), dtype="<f4")
-    meta[:, 0:2] = keypoints.positions
-    meta[:, 2] = keypoints.scales
-    meta[:, 3] = keypoints.orientations
-    descriptors = np.clip(np.rint(keypoints.descriptors), 0, 255).astype(np.uint8)
-    payload = _HEADER.pack(_MAGIC, count) + meta.tobytes() + descriptors.tobytes()
+    """Pack a keypoint set into its wire format (optionally GZIP'd).
+
+    Encodes through :func:`serialize_keypoints_into` into a fresh buffer,
+    so the wire format has one encoder.
+    """
+    buffer = bytearray()
+    serialize_keypoints_into(keypoints, buffer)
     if compress:
-        return gzip.compress(payload, compresslevel=9, mtime=0)
-    return payload
+        return gzip.compress(buffer, compresslevel=9, mtime=0)
+    return bytes(buffer)
 
 
 def serialize_keypoints_into(
@@ -76,14 +75,13 @@ def serialize_keypoints_into(
 ) -> int:
     """Serialize into a caller-owned ``bytearray``; returns payload size.
 
-    The zero-copy counterpart of :func:`serialize_keypoints`: the header
-    is packed in place, the float metadata and uint8 descriptors are
-    written through ``np.frombuffer`` views straight into ``buffer``,
-    and the only intermediate is the (optional, reusable) float32
-    ``scratch`` used for rint/clip before the uint8 narrowing.  The
-    buffer is grown once to the high-water mark and then reused; valid
-    bytes are ``buffer[:returned_size]``.  Byte-for-byte identical to
-    ``serialize_keypoints(keypoints, compress=False)``.
+    The one encoder of the wire format: the header is packed in place,
+    the float metadata and uint8 descriptors are written through
+    ``np.frombuffer`` views straight into ``buffer``, and the only
+    intermediate is the (optional, reusable) float32 ``scratch`` used
+    for rint/clip before the uint8 narrowing.  The buffer is grown once
+    to the high-water mark and then reused; valid bytes are
+    ``buffer[:returned_size]``.
     """
     count = len(keypoints)
     size = serialized_size(count)

@@ -18,8 +18,8 @@ SIFT (which the paper uses), vectorized over keypoints with numpy:
 Hot-path layout (the per-frame client cost lives here):
 
 * Extrema detection runs as separable shifted-window max/min reductions
-  in pure numpy — no scipy filter calls — and is exactly equal to the
-  retained ``maximum_filter`` reference on every eligible voxel.
+  in pure numpy — no scipy filter calls — and is exactly equal to a
+  scipy ``maximum_filter`` on every eligible voxel.
 * Gradient maps are computed once per octave (batched over the candidate
   levels) and shared between orientation assignment and description,
   instead of twice per level.
@@ -31,14 +31,13 @@ Hot-path layout (the per-frame client cost lives here):
   frame, so spatial corner indices/weights never depend on the keypoint)
   applied with one batched matmul over an orientation-corner tensor.
 
-The pre-vectorization implementations are retained verbatim as
-``extract_reference`` / ``_detect_octave_reference`` /
-``_assign_orientations_reference`` / ``_describe_reference`` — the
-ground truth the hypothesis parity suite (tests/test_sift_parity.py) and
-the ``bench_sift`` trajectory compare against.  Geometry (positions,
-scales, orientations, responses) is bit-identical; descriptor floats
-reassociate in the matmul, so final integer descriptors may differ by
-±1 quantization step (documented tolerance).
+The pre-vectorization pipeline lives on as the test-only reference in
+``tests/sift_reference.py`` — the ground truth the hypothesis parity
+suite (tests/test_sift_parity.py) and the ``bench_sift`` trajectory
+compare against.  Geometry (positions, scales, orientations, responses)
+is bit-identical; descriptor floats reassociate in the matmul, so final
+integer descriptors may differ by ±1 quantization step (documented
+tolerance).
 """
 
 from __future__ import annotations
@@ -154,37 +153,6 @@ class SiftExtractor:
             keypoints = keypoints.top_by_response(params.max_keypoints)
         return keypoints
 
-    def extract_reference(self, image: np.ndarray) -> KeypointSet:
-        """The pre-vectorization pipeline, retained for parity and benchmarks.
-
-        Scalar-shaped per-level loops throughout: ``gaussian_filter``
-        pyramid, scipy 3x3x3 extrema filters, per-level gradient
-        recomputation, and the 8-``bincount`` trilinear scatter.
-        """
-        image = np.asarray(image, dtype=np.float32)
-        if image.ndim != 2:
-            raise ValueError(f"image must be 2-D grayscale, got shape {image.shape}")
-        params = self.params
-        pyramid = GaussianPyramid.build_reference(
-            image,
-            scales_per_octave=params.scales_per_octave,
-            base_sigma=params.base_sigma,
-        )
-        dog = DogPyramid.from_gaussian(pyramid)
-        parts: list[KeypointSet] = []
-        for octave in range(dog.num_octaves):
-            candidates = self._detect_octave_reference(dog, octave)
-            if candidates.shape[0] == 0:
-                continue
-            oriented = self._assign_orientations_reference(pyramid, octave, candidates)
-            if oriented.shape[0] == 0:
-                continue
-            parts.append(self._describe_reference(pyramid, octave, oriented))
-        keypoints = KeypointSet.concatenate(parts)
-        if params.max_keypoints is not None:
-            keypoints = keypoints.top_by_response(params.max_keypoints)
-        return keypoints
-
     # ------------------------------------------------------------------
     # Detection
     # ------------------------------------------------------------------
@@ -262,41 +230,6 @@ class SiftExtractor:
         keep = self._reject_edges(stack, refined)
         return refined[keep]
 
-    def _detect_octave_reference(self, dog: DogPyramid, octave: int) -> np.ndarray:
-        """Scipy-filter extrema detection (the retained reference)."""
-        from scipy import ndimage
-
-        params = self.params
-        stack = dog.octaves[octave]
-        num_levels = stack.shape[0]
-        if num_levels < 3:
-            return np.empty((0, 4))
-
-        maxima = ndimage.maximum_filter(stack, size=3, mode="nearest")
-        minima = ndimage.minimum_filter(stack, size=3, mode="nearest")
-        threshold = params.contrast_threshold * 0.5
-        is_extremum = ((stack == maxima) & (stack > threshold)) | (
-            (stack == minima) & (stack < -threshold)
-        )
-        # Only interior levels and a 5-pixel spatial margin are eligible.
-        is_extremum[0] = False
-        is_extremum[-1] = False
-        margin = 5
-        is_extremum[:, :margin, :] = False
-        is_extremum[:, -margin:, :] = False
-        is_extremum[:, :, :margin] = False
-        is_extremum[:, :, -margin:] = False
-
-        levels, ys, xs = np.nonzero(is_extremum)
-        if levels.size == 0:
-            return np.empty((0, 4))
-
-        refined = self._refine(stack, levels, ys, xs)
-        if refined.shape[0] == 0:
-            return np.empty((0, 4))
-        keep = self._reject_edges(stack, refined)
-        return refined[keep]
-
     def _refine(
         self, stack: np.ndarray, levels: np.ndarray, ys: np.ndarray, xs: np.ndarray
     ) -> np.ndarray:
@@ -357,13 +290,6 @@ class SiftExtractor:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _gradients(level_image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        gy, gx = np.gradient(level_image.astype(np.float32))
-        magnitude = np.hypot(gx, gy)
-        angle = np.arctan2(gy, gx)
-        return magnitude, angle
-
-    @staticmethod
     def _octave_gradients(
         stack: np.ndarray, levels: np.ndarray
     ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
@@ -372,7 +298,7 @@ class SiftExtractor:
         Shared between :meth:`_assign_orientations` and :meth:`_describe`
         so each level's gradients are computed exactly once per frame
         (the reference recomputed them in both stages).  Elementwise
-        identical to per-level :meth:`_gradients` calls.
+        identical to per-level ``np.gradient`` calls.
         """
         selected = np.asarray(levels, dtype=int)
         if selected.size == 0:
@@ -402,7 +328,7 @@ class SiftExtractor:
         runs (window radius is a per-level constant), all scattered into
         one flat ``bincount``; smoothing, peak detection, and parabolic
         interpolation run once over every candidate of the octave.
-        Bit-identical to the retained reference, including row order
+        Bit-identical to the reference, including row order
         (candidates are processed in ascending level, original order
         within a level — exactly the reference's ``np.unique`` walk).
 
@@ -531,90 +457,6 @@ class SiftExtractor:
                 orientation,
             ]
         )
-
-    def _assign_orientations_reference(
-        self, pyramid: GaussianPyramid, octave: int, candidates: np.ndarray
-    ) -> np.ndarray:
-        """Per-level orientation assignment (the retained reference)."""
-        params = self.params
-        stack = pyramid.octaves[octave]
-        num_bins = params.num_orientation_bins
-        out_rows: list[np.ndarray] = []
-
-        levels_int = np.clip(
-            np.rint(candidates[:, 0]).astype(int), 1, stack.shape[0] - 2
-        )
-        for level in np.unique(levels_int):
-            mask = levels_int == level
-            rows = candidates[mask]
-            magnitude, angle = self._gradients(stack[level])
-            sigma = 1.5 * float(pyramid.sigmas[level])
-            radius = max(2, int(round(3.0 * sigma)))
-            if 2 * radius + 1 > min(stack.shape[1], stack.shape[2]):
-                continue
-            offsets = np.arange(-radius, radius + 1)
-            weight_1d = np.exp(-(offsets**2) / (2.0 * sigma**2))
-            window_weight = np.outer(weight_1d, weight_1d)  # (P, P)
-
-            ys = np.clip(np.rint(rows[:, 1]).astype(int), radius, stack.shape[1] - radius - 1)
-            xs = np.clip(np.rint(rows[:, 2]).astype(int), radius, stack.shape[2] - radius - 1)
-            win_y = ys[:, None, None] + offsets[None, :, None]
-            win_x = xs[:, None, None] + offsets[None, None, :]
-            win_mag = magnitude[win_y, win_x] * window_weight[None, :, :]
-            win_ang = angle[win_y, win_x]
-
-            bins = np.floor((win_ang + np.pi) / (2 * np.pi) * num_bins).astype(int)
-            bins = np.clip(bins, 0, num_bins - 1)
-            k = rows.shape[0]
-            flat_bins = (np.arange(k)[:, None, None] * num_bins + bins).ravel()
-            histograms = np.bincount(
-                flat_bins, weights=win_mag.ravel(), minlength=k * num_bins
-            ).reshape(k, num_bins)
-
-            for _ in range(2):
-                histograms = (
-                    np.roll(histograms, 1, axis=1)
-                    + histograms
-                    + np.roll(histograms, -1, axis=1)
-                ) / 3.0
-
-            peak_value = histograms.max(axis=1, keepdims=True)
-            left = np.roll(histograms, 1, axis=1)
-            right = np.roll(histograms, -1, axis=1)
-            is_peak = (
-                (histograms >= left)
-                & (histograms > right)
-                & (histograms >= params.orientation_peak_ratio * peak_value)
-                & (peak_value > 0)
-            )
-            kp_index, bin_index = np.nonzero(is_peak)
-            if kp_index.size == 0:
-                continue
-            center_v = histograms[kp_index, bin_index]
-            left_v = left[kp_index, bin_index]
-            right_v = right[kp_index, bin_index]
-            denominator = left_v - 2 * center_v + right_v
-            shift = np.where(
-                np.abs(denominator) > 1e-12,
-                0.5 * (left_v - right_v) / denominator,
-                0.0,
-            )
-            shift = np.clip(shift, -0.5, 0.5)
-            orientation = ((bin_index + 0.5 + shift) / num_bins) * 2 * np.pi - np.pi
-            out_rows.append(
-                np.column_stack(
-                    [
-                        rows[kp_index, 0],
-                        rows[kp_index, 1],
-                        rows[kp_index, 2],
-                        rows[kp_index, 3],
-                        orientation,
-                    ]
-                )
-            )
-        if not out_rows:
-            return np.empty((0, 5))
-        return np.concatenate(out_rows)
 
     # ------------------------------------------------------------------
     # Description
@@ -804,151 +646,6 @@ class SiftExtractor:
             responses=np.abs(rows[:, 3]).astype(np.float32),
             descriptors=descriptor.astype(np.float32),
         )
-
-    def _describe_reference(
-        self, pyramid: GaussianPyramid, octave: int, oriented: np.ndarray
-    ) -> KeypointSet:
-        """Per-level description with the 8-corner scatter (the reference)."""
-        params = self.params
-        stack = pyramid.octaves[octave]
-        grid = params.descriptor_grid
-        spatial_bins = params.descriptor_spatial_bins
-        ori_bins = params.descriptor_orientation_bins
-
-        positions: list[np.ndarray] = []
-        scales: list[np.ndarray] = []
-        orientations: list[np.ndarray] = []
-        responses: list[np.ndarray] = []
-        descriptors: list[np.ndarray] = []
-
-        levels_int = np.clip(
-            np.rint(oriented[:, 0]).astype(int), 1, stack.shape[0] - 2
-        )
-        # Normalized sample grid: (grid*grid, 2) offsets in bin units,
-        # covering [-spatial_bins/2, spatial_bins/2).
-        steps = (np.arange(grid) + 0.5) / grid * spatial_bins - spatial_bins / 2.0
-        grid_u, grid_v = np.meshgrid(steps, steps)  # u: x-direction, v: y
-        flat_u = grid_u.ravel()
-        flat_v = grid_v.ravel()
-        # Gaussian window over the descriptor, sigma = half the window.
-        window_sigma = 0.5 * spatial_bins
-        sample_weight = np.exp(
-            -(flat_u**2 + flat_v**2) / (2.0 * window_sigma**2)
-        ).astype(np.float32)
-
-        for level in np.unique(levels_int):
-            mask = levels_int == level
-            rows = oriented[mask]
-            magnitude, angle = self._gradients(stack[level])
-            sigma = float(pyramid.sigmas[level])
-            bin_width = params.descriptor_scale_factor * sigma
-
-            theta = rows[:, 4]
-            cos_t = np.cos(theta)[:, None]
-            sin_t = np.sin(theta)[:, None]
-            du = (flat_u[None, :] * cos_t - flat_v[None, :] * sin_t) * bin_width
-            dv = (flat_u[None, :] * sin_t + flat_v[None, :] * cos_t) * bin_width
-            sample_x = np.clip(
-                np.rint(rows[:, 2][:, None] + du).astype(int), 0, stack.shape[2] - 1
-            )
-            sample_y = np.clip(
-                np.rint(rows[:, 1][:, None] + dv).astype(int), 0, stack.shape[1] - 1
-            )
-            sampled_mag = magnitude[sample_y, sample_x] * sample_weight[None, :]
-            sampled_ang = angle[sample_y, sample_x] - theta[:, None]
-
-            # Trilinear accumulation into (rows+2, cols+2, ori) histograms.
-            row_bin = flat_v[None, :] + spatial_bins / 2.0 - 0.5  # (k, s)
-            col_bin = flat_u[None, :] + spatial_bins / 2.0 - 0.5
-            row_bin = np.broadcast_to(row_bin, sampled_mag.shape)
-            col_bin = np.broadcast_to(col_bin, sampled_mag.shape)
-            ori_bin = (sampled_ang % (2 * np.pi)) / (2 * np.pi) * ori_bins
-
-            descriptor = self._trilinear_accumulate(
-                row_bin, col_bin, ori_bin, sampled_mag, spatial_bins, ori_bins
-            )
-            descriptor = self._finalize_descriptors(descriptor)
-
-            scale_mult = pyramid.octave_scale(octave)
-            positions.append(
-                np.column_stack([rows[:, 2] * scale_mult, rows[:, 1] * scale_mult])
-            )
-            level_sigmas = pyramid.base_sigma * (
-                2.0 ** (rows[:, 0] / params.scales_per_octave)
-            )
-            scales.append(level_sigmas * scale_mult)
-            orientations.append(theta)
-            responses.append(np.abs(rows[:, 3]))
-            descriptors.append(descriptor)
-
-        if not positions:
-            return KeypointSet.empty()
-        return KeypointSet(
-            positions=np.concatenate(positions).astype(np.float32),
-            scales=np.concatenate(scales).astype(np.float32),
-            orientations=np.concatenate(orientations).astype(np.float32),
-            responses=np.concatenate(responses).astype(np.float32),
-            descriptors=np.concatenate(descriptors).astype(np.float32),
-        )
-
-    @staticmethod
-    def _trilinear_accumulate(
-        row_bin: np.ndarray,
-        col_bin: np.ndarray,
-        ori_bin: np.ndarray,
-        weights: np.ndarray,
-        spatial_bins: int,
-        ori_bins: int,
-    ) -> np.ndarray:
-        """Scatter samples into per-keypoint histograms with trilinear weights.
-
-        All inputs are ``(k, samples)``.  Returns ``(k, 128)``.  The
-        8-corner ``bincount`` walk — retained as the reference the fast
-        matmul formulation in :meth:`_describe` is verified against.
-        """
-        k, _ = weights.shape
-        padded = spatial_bins + 2  # one guard bin on each side
-        row_floor = np.floor(row_bin).astype(int)
-        col_floor = np.floor(col_bin).astype(int)
-        ori_floor = np.floor(ori_bin).astype(int)
-        row_frac = row_bin - row_floor
-        col_frac = col_bin - col_floor
-        ori_frac = ori_bin - ori_floor
-
-        kp_index = np.broadcast_to(np.arange(k)[:, None], weights.shape)
-
-        stride_o = 1
-        stride_c = ori_bins
-        stride_r = padded * ori_bins
-        stride_k = padded * padded * ori_bins
-        flat_size = k * stride_k
-        flat_histogram = np.zeros(flat_size, dtype=np.float64)
-
-        for d_row in (0, 1):
-            w_row = np.where(d_row == 0, 1 - row_frac, row_frac)
-            row_index = np.clip(row_floor + d_row + 1, 0, padded - 1)
-            for d_col in (0, 1):
-                w_col = np.where(d_col == 0, 1 - col_frac, col_frac)
-                col_index = np.clip(col_floor + d_col + 1, 0, padded - 1)
-                for d_ori in (0, 1):
-                    w_ori = np.where(d_ori == 0, 1 - ori_frac, ori_frac)
-                    ori_index = (ori_floor + d_ori) % ori_bins
-                    contribution = weights * w_row * w_col * w_ori
-                    flat = (
-                        kp_index * stride_k
-                        + row_index * stride_r
-                        + col_index * stride_c
-                        + ori_index * stride_o
-                    )
-                    flat_histogram += np.bincount(
-                        flat.ravel(),
-                        weights=contribution.ravel(),
-                        minlength=flat_size,
-                    )
-        # Drop guard bins, flatten to 128-D.
-        histogram = flat_histogram.reshape(k, padded, padded, ori_bins)
-        core = histogram[:, 1 : spatial_bins + 1, 1 : spatial_bins + 1, :]
-        return core.reshape(k, spatial_bins * spatial_bins * ori_bins)
 
     def _finalize_descriptors(self, descriptors: np.ndarray) -> np.ndarray:
         """Normalize, clip at the illumination cap, renormalize, integerize."""

@@ -16,7 +16,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.hashing.murmur3 import murmur3_32_vectors, murmur3_32_vectors_multiseed
+from repro.hashing.murmur3 import murmur3_32_vectors_multiseed
 from repro.util.validation import check_positive
 
 __all__ = ["HashFamily", "Murmur3Family", "MultiplyShiftFamily"]
@@ -35,10 +35,6 @@ class HashFamily(ABC):
     def indices(self, vectors: np.ndarray) -> np.ndarray:
         """Map ``(n, words)`` integer vectors to ``(n, K)`` table indices."""
 
-    def indices_single(self, vector: np.ndarray) -> np.ndarray:
-        """Convenience wrapper for one vector; returns shape ``(K,)``."""
-        return self.indices(np.asarray(vector)[np.newaxis, :])[0]
-
 
 class Murmur3Family(HashFamily):
     """K MurmurHash3 functions distinguished by seed (the paper's choice)."""
@@ -53,18 +49,6 @@ class Murmur3Family(HashFamily):
             raise ValueError(f"vectors must be 2-D, got shape {vectors.shape}")
         seeds = self.base_seed + np.arange(self.num_hashes, dtype=np.int64)
         hashes = murmur3_32_vectors_multiseed(vectors, seeds).T.astype(np.uint64)
-        return (hashes % np.uint64(self.table_size)).astype(np.int64)
-
-    def indices_reference(self, vectors: np.ndarray) -> np.ndarray:
-        """One murmur pass per seed — the pre-batched reference for parity."""
-        vectors = np.ascontiguousarray(vectors, dtype=np.uint32)
-        if vectors.ndim != 2:
-            raise ValueError(f"vectors must be 2-D, got shape {vectors.shape}")
-        columns = [
-            murmur3_32_vectors(vectors, seed=self.base_seed + k)
-            for k in range(self.num_hashes)
-        ]
-        hashes = np.stack(columns, axis=1).astype(np.uint64)
         return (hashes % np.uint64(self.table_size)).astype(np.int64)
 
 

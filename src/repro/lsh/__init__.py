@@ -14,7 +14,6 @@ land one quantization cell away from their training-time bucket.
 
 from repro.lsh.buckets import QuantizedBuckets
 from repro.lsh.index import LshIndex
-from repro.lsh.multiprobe import perturbation_sets
 from repro.lsh.projections import E2LSHParams, StableProjections
 
 __all__ = [
@@ -22,5 +21,4 @@ __all__ = [
     "LshIndex",
     "QuantizedBuckets",
     "StableProjections",
-    "perturbation_sets",
 ]

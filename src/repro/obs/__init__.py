@@ -40,7 +40,6 @@ from repro.obs.events import (
 )
 from repro.obs.export import (
     chrome_trace_events,
-    parse_prometheus,
     render_prometheus,
     span_records,
     write_chrome_trace,
@@ -113,7 +112,6 @@ __all__ = [
     "group_traces",
     "isolated_trace_state",
     "parse_metric_key",
-    "parse_prometheus",
     "record_span",
     "render_dashboard",
     "render_prometheus",

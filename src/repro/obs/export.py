@@ -3,10 +3,9 @@
 ``render_prometheus`` emits the version-0.0.4 text format (``# HELP`` /
 ``# TYPE`` headers, every sketch as a ``summary`` — ``{quantile=...}``
 samples plus ``_sum`` / ``_count`` — escaped help text and label
-values).  ``parse_prometheus`` reads that format back into flat
-samples so tests can prove the export
-round-trips a registry exactly — and so scrapes from a real Prometheus
-endpoint stay byte-compatible if one is ever bolted on.
+values).  The test-only parser in ``tests/prometheus_reference.py``
+reads that format back into flat samples, so tests prove the export
+round-trips a registry exactly.
 
 ``chrome_trace_events`` / ``write_chrome_trace`` render root spans as
 Chrome trace-event JSON ("X" complete events, microsecond ``ts`` /
@@ -28,7 +27,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "chrome_trace_events",
-    "parse_prometheus",
     "render_prometheus",
     "span_records",
     "write_chrome_trace",
@@ -96,85 +94,6 @@ def render_prometheus(registry: "MetricsRegistry") -> str:
         else:
             out.append(line)
     return "\n".join(out) + "\n" if out else ""
-
-
-def _unescape_label_value(value: str) -> str:
-    out: list[str] = []
-    index = 0
-    while index < len(value):
-        char = value[index]
-        if char == "\\" and index + 1 < len(value):
-            nxt = value[index + 1]
-            if nxt == "n":
-                out.append("\n")
-            elif nxt in ('"', "\\"):
-                out.append(nxt)
-            else:
-                out.append(char)
-                out.append(nxt)
-            index += 2
-        else:
-            out.append(char)
-            index += 1
-    return "".join(out)
-
-
-def _parse_labels(body: str) -> tuple[tuple[str, str], ...]:
-    labels: list[tuple[str, str]] = []
-    index = 0
-    while index < len(body):
-        equals = body.index("=", index)
-        name = body[index:equals].strip().lstrip(",").strip()
-        if body[equals + 1] != '"':
-            raise ValueError(f"malformed label value in {body!r}")
-        cursor = equals + 2
-        raw: list[str] = []
-        while cursor < len(body):
-            char = body[cursor]
-            if char == "\\":
-                raw.append(body[cursor : cursor + 2])
-                cursor += 2
-                continue
-            if char == '"':
-                break
-            raw.append(char)
-            cursor += 1
-        labels.append((name, _unescape_label_value("".join(raw))))
-        index = cursor + 1
-    return tuple(labels)
-
-
-def _parse_value(text: str) -> float:
-    if text == "+Inf":
-        return float("inf")
-    if text == "-Inf":
-        return float("-inf")
-    return float(text)
-
-
-def parse_prometheus(text: str) -> list[tuple[str, tuple[tuple[str, str], ...], float]]:
-    """Prometheus text format → flat ``(name, labels, value)`` samples.
-
-    The inverse of :func:`render_prometheus` for the subset this module
-    emits; compare against :meth:`MetricsRegistry.samples` to verify a
-    round trip.
-    """
-    samples: list[tuple[str, tuple[tuple[str, str], ...], float]] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "{" in line:
-            name = line[: line.index("{")]
-            closing = line.rindex("}")
-            labels = _parse_labels(line[line.index("{") + 1 : closing])
-            value_text = line[closing + 1 :].strip().split()[0]
-        else:
-            parts = line.split()
-            name, value_text = parts[0], parts[1]
-            labels = ()
-        samples.append((name, labels, _parse_value(value_text)))
-    return samples
 
 
 def write_json(registry: "MetricsRegistry", path: str) -> None:

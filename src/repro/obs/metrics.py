@@ -382,8 +382,8 @@ class MetricsRegistry:
         """Flat ``(sample_name, labels, value)`` triples.
 
         Exactly the samples the Prometheus text rendering emits, in
-        order — the round-trip contract tested against
-        :func:`repro.obs.export.parse_prometheus`.
+        order — the round-trip contract tested against the parser in
+        ``tests/prometheus_reference.py``.
         """
         out: list[tuple[str, tuple[tuple[str, str], ...], float]] = []
         for instrument in self.instruments():

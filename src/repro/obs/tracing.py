@@ -150,7 +150,11 @@ class Span:
         """
         if self.end_seconds is None:
             if duration_seconds is not None:
-                self.end_seconds = self.start_seconds + float(duration_seconds)
+                # Anchored at zero, as in from_dict: start + duration on
+                # the host clock would round the duration by an ulp of
+                # the clock reading, which grows with uptime.
+                self.start_seconds = 0.0
+                self.end_seconds = float(duration_seconds)
             else:
                 self.end_seconds = time.perf_counter()
 

@@ -13,6 +13,7 @@ from repro.hashing import (
     murmur3_32,
     murmur3_32_vectors,
 )
+from tests.oracle_reference import indices_reference
 
 
 class TestMurmur3Scalar:
@@ -98,12 +99,23 @@ class TestHashFamilies:
         counts = np.bincount(indices % 64, minlength=64)
         assert counts.max() < 3 * counts.mean()
 
-    def test_indices_single(self, rng):
-        family = Murmur3Family(3, 500)
-        vector = rng.integers(0, 50, size=7).astype(np.uint32)
-        single = family.indices_single(vector)
-        batch = family.indices(vector[np.newaxis, :])[0]
-        assert np.array_equal(single, batch)
+    @given(
+        rows=st.integers(1, 12),
+        words=st.integers(1, 9),
+        base_seed=st.integers(0, 5000),
+        seed=st.integers(0, 30),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_murmur_family_matches_per_seed_reference(
+        self, rows, words, base_seed, seed
+    ):
+        family = Murmur3Family(4, 1 << 20, base_seed=base_seed)
+        vectors = np.random.default_rng(seed).integers(
+            0, 2**32, size=(rows, words), dtype=np.uint32
+        )
+        np.testing.assert_array_equal(
+            family.indices(vectors), indices_reference(family, vectors)
+        )
 
     def test_invalid_args_raise(self):
         with pytest.raises(ValueError):

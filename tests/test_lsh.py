@@ -14,7 +14,6 @@ from repro.lsh import (
     LshIndex,
     QuantizedBuckets,
     StableProjections,
-    perturbation_sets,
 )
 from repro.lsh.buckets import bucket_keys
 from repro.lsh.index import _kth_smallest
@@ -27,6 +26,7 @@ from tests.lsh_reference import (
     query_batch_reference,
     tables_reference,
 )
+from tests.oracle_reference import perturbation_sets
 
 
 class TestE2LSHParams:

@@ -28,12 +28,12 @@ from repro.obs import (
     TraceCollector,
     current_registry,
     current_span,
-    parse_prometheus,
     trace_span,
     use_collector,
     use_registry,
 )
 from repro.wardrive.environment import random_sift_descriptor
+from tests.prometheus_reference import parse_prometheus
 
 
 @pytest.fixture(scope="module")

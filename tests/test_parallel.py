@@ -3,9 +3,10 @@
 Covers: parallel_map ordering and fallback semantics, shared-context
 delivery, chunk_setup, metrics-registry merge determinism, shard_seeds,
 bit-identical parallel workload builds and oracle ingest, and the
-vectorized ``lookup_batch`` against its retained scalar reference
-(including a hypothesis property over random descriptors and the
-ranked-perturbation schedule against its scalar form).
+vectorized ``lookup_batch`` against the scalar reference walk in
+``tests/oracle_reference.py`` (including a hypothesis property over
+random descriptors and the ranked-perturbation schedule against its
+scalar form).
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ from hypothesis.extra.numpy import arrays
 from repro.core.config import VisualPrintConfig
 from repro.core.oracle import UniquenessOracle
 from repro.evaluation.datasets import build_workload
-from repro.lsh.multiprobe import perturbation_sets, ranked_perturbations
+from repro.lsh.multiprobe import ranked_perturbations
 from repro.obs import MetricsRegistry, resolve_registry, use_registry
 from repro.parallel import default_workers, get_shared, parallel_map, shard_seeds
 from repro.util.rng import rng_for
+from tests.oracle_reference import lookup_batch_reference, perturbation_sets
 
 
 # ---------------------------------------------------------------------------
@@ -221,23 +223,35 @@ def lookup_queries(trained_oracle) -> np.ndarray:
 class TestVectorizedLookup:
     def test_matches_scalar_reference(self, trained_oracle, lookup_queries):
         vectorized = trained_oracle.lookup_batch(lookup_queries)
-        scalar = trained_oracle._lookup_batch_scalar(lookup_queries)
+        scalar, _ = lookup_batch_reference(trained_oracle, lookup_queries)
         assert vectorized == scalar
 
     def test_matches_scalar_metrics(self, lookup_queries):
-        def run(method: str) -> dict:
+        def trained() -> tuple[UniquenessOracle, MetricsRegistry]:
             registry = MetricsRegistry()
             oracle = UniquenessOracle(VisualPrintConfig(), registry=registry)
             database = rng_for(21, "lookup-db").normal(0, 30, size=(3000, 128))
             oracle.insert(database.astype(np.float32))
-            getattr(oracle, method)(lookup_queries)
+            return oracle, registry
+
+        def counters(registry: MetricsRegistry) -> dict:
             return {
                 inst["name"]: inst["state"]["value"]
                 for inst in registry.state()["instruments"]
                 if inst["kind"] == "counter"
             }
 
-        assert run("lookup_batch") == run("_lookup_batch_scalar")
+        oracle, registry = trained()
+        oracle.lookup_batch(lookup_queries)
+        reference_oracle, reference_registry = trained()
+        before = counters(reference_registry)
+        _, increments = lookup_batch_reference(reference_oracle, lookup_queries)
+        # The reference reads the oracle and returns its increments.
+        assert counters(reference_registry) == before
+        expected = dict(before)
+        for name, value in increments.items():
+            expected[name] += value
+        assert counters(registry) == expected
 
     def test_single_row_lookup_wrapper(self, trained_oracle, lookup_queries):
         row = lookup_queries[0]
@@ -254,9 +268,9 @@ class TestVectorizedLookup:
     )
     @settings(max_examples=25, deadline=None)
     def test_property_vectorized_equals_scalar(self, trained_oracle, descriptors):
-        assert trained_oracle.lookup_batch(
-            descriptors
-        ) == trained_oracle._lookup_batch_scalar(descriptors)
+        assert trained_oracle.lookup_batch(descriptors) == lookup_batch_reference(
+            trained_oracle, descriptors
+        )[0]
 
     @given(
         arrays(

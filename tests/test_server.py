@@ -7,8 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.bloom import SnapshotCorruptError
 from repro.core import Fingerprint, VisualPrintConfig, VisualPrintServer
 from repro.features.keypoint import KeypointSet
+from repro.serving.synthetic import synthetic_query, synthetic_venue_server
 from repro.wardrive.environment import random_sift_descriptor
 
 
@@ -136,6 +138,26 @@ class TestRowStore:
             tracemalloc.stop()
         expected = server.lookup.memory_bytes() + server.positions.nbytes
         assert abs(held - expected) <= 0.05 * expected
+
+    def test_unindexable_restore_leaves_server_untouched(self):
+        rng = np.random.default_rng(23)
+        server = synthetic_venue_server(rng, num_descriptors=120)
+        query = synthetic_query(server, rng)
+        before_answer = server.localize(query)
+        before_positions = server.positions.copy()
+        before_descriptors = server.descriptors.copy()
+        descriptors = rng.integers(0, 256, (60, 128)).astype(np.float32)
+        descriptors[17, 5] = np.nan
+        with pytest.raises(SnapshotCorruptError):
+            server.restore_state(
+                descriptors,
+                rng.uniform(0, 10, (60, 3)),
+                bounds=(np.zeros(3), np.full(3, 50.0)),
+            )
+        assert server.num_mappings == 120
+        assert np.array_equal(server.positions, before_positions)
+        assert np.array_equal(server.descriptors, before_descriptors)
+        assert server.localize(query) == before_answer
 
 
 class TestLocalize:

@@ -1,9 +1,9 @@
-"""Equivalence suite: batched hot paths vs their retained scalar references.
+"""Equivalence suite: batched hot paths vs their scalar references.
 
-PR 7 rewrote the client hot path (batched SIFT kernels, zero-copy
-serialization, packed bloom counters) while keeping the original scalar
-implementations as ``*_reference`` methods.  These tests pin the
-contract:
+The client hot path (batched SIFT kernels, zero-copy serialization,
+packed bloom counters) is checked against the original scalar
+implementations, kept as test-only functions in
+``tests/sift_reference.py``.  These tests pin the contract:
 
 * Gaussian/DoG pyramids: bit-identical (same scipy kernels, same op
   order).
@@ -15,8 +15,10 @@ contract:
   descriptor is continuous in the orientation bin, so reassociation
   shifts a sample's soft-binned weight by at most one quantization
   step after the 0..255 integerization (see DESIGN.md §12).
-* Serialization: ``serialize_keypoints_into`` is byte-for-byte
-  ``serialize_keypoints``, and ``serialized_size`` prices it exactly.
+* Serialization: ``serialize_keypoints_into`` and its
+  ``serialize_keypoints`` wrapper (raw and GZIP'd) are byte-for-byte
+  the copying reference encoder, ``serialized_size`` prices the payload
+  exactly, and ``Fingerprint`` round-trips through the wire format.
 * Packed counters and multiseed murmur: identical to the unpacked /
   per-seed formulations.
 """
@@ -42,6 +44,11 @@ from repro.hashing.murmur3 import murmur3_32_vectors, murmur3_32_vectors_multise
 from repro.imaging import value_noise_texture
 from repro.obs import MetricsRegistry
 from repro.util.rng import rng_for
+from tests.sift_reference import (
+    build_pyramid_reference,
+    extract_reference,
+    serialize_keypoints_reference,
+)
 
 
 def textured(height: int, width: int, seed: int) -> np.ndarray:
@@ -52,7 +59,7 @@ def textured(height: int, width: int, seed: int) -> np.ndarray:
 def assert_extract_parity(image: np.ndarray, params: SiftParams | None = None):
     extractor = SiftExtractor(params or SiftParams())
     fast = extractor.extract(image)
-    ref = extractor.extract_reference(image)
+    ref = extract_reference(extractor, image)
     assert len(fast) == len(ref)
     np.testing.assert_array_equal(fast.positions, ref.positions)
     np.testing.assert_array_equal(fast.scales, ref.scales)
@@ -68,7 +75,7 @@ class TestPyramidParity:
     def test_gaussian_build_bit_identical(self):
         image = textured(64, 64, 1)
         fast = GaussianPyramid.build(image)
-        ref = GaussianPyramid.build_reference(image)
+        ref = build_pyramid_reference(image)
         assert len(fast.octaves) == len(ref.octaves)
         for a, b in zip(fast.octaves, ref.octaves):
             np.testing.assert_array_equal(a, b)
@@ -156,19 +163,23 @@ class TestSerializeInto:
     @settings(max_examples=25, deadline=None)
     def test_byte_identical_and_sized(self, count, seed):
         keypoints = keypoint_set(count, seed)
-        reference = serialize_keypoints(keypoints)
+        reference = serialize_keypoints_reference(keypoints)
         assert serialized_size(count) == len(reference)
         buffer = bytearray()
         size = serialize_keypoints_into(keypoints, buffer)
         assert size == len(reference)
         assert bytes(buffer[:size]) == reference
+        assert serialize_keypoints(keypoints) == reference
+        assert serialize_keypoints(
+            keypoints, compress=True
+        ) == serialize_keypoints_reference(keypoints, compress=True)
 
     def test_empty_and_single(self):
         for count in (0, 1):
             keypoints = keypoint_set(count, count)
             buffer = bytearray()
             size = serialize_keypoints_into(keypoints, buffer)
-            assert bytes(buffer[:size]) == serialize_keypoints(keypoints)
+            assert bytes(buffer[:size]) == serialize_keypoints_reference(keypoints)
             assert size == serialized_size(count)
 
     def test_buffer_reuse_shrinking(self):
@@ -178,7 +189,7 @@ class TestSerializeInto:
         buffer = bytearray()
         serialize_keypoints_into(big, buffer)
         size = serialize_keypoints_into(small, buffer)
-        assert bytes(buffer[:size]) == serialize_keypoints(small)
+        assert bytes(buffer[:size]) == serialize_keypoints_reference(small)
         assert len(buffer) == serialized_size(30)  # high-water mark kept
 
     def test_scratch_reuse(self):
@@ -186,7 +197,7 @@ class TestSerializeInto:
         scratch = np.empty((12, DESCRIPTOR_DIM), dtype=np.float32)
         buffer = bytearray()
         size = serialize_keypoints_into(keypoints, buffer, scratch=scratch)
-        assert bytes(buffer[:size]) == serialize_keypoints(keypoints)
+        assert bytes(buffer[:size]) == serialize_keypoints_reference(keypoints)
 
     def test_fingerprint_upload_bytes_is_exact(self):
         for count in (0, 1, 17):
@@ -197,6 +208,28 @@ class TestSerializeInto:
             )
             assert fingerprint.upload_bytes == len(fingerprint.to_bytes())
 
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_fingerprint_round_trip(self, compress):
+        keypoints = keypoint_set(25, 7)
+        fingerprint = Fingerprint(
+            keypoints=keypoints,
+            uniqueness_counts=np.arange(25, dtype=np.int64),
+            frame_index=3,
+        )
+        payload = fingerprint.to_bytes(compress=compress)
+        assert payload == serialize_keypoints_reference(keypoints, compress=compress)
+        restored = Fingerprint.from_bytes(payload, frame_index=3)
+        assert restored.frame_index == 3
+        np.testing.assert_array_equal(restored.keypoints.positions, keypoints.positions)
+        np.testing.assert_array_equal(restored.keypoints.scales, keypoints.scales)
+        np.testing.assert_array_equal(
+            restored.keypoints.orientations, keypoints.orientations
+        )
+        np.testing.assert_array_equal(
+            restored.keypoints.descriptors, np.rint(keypoints.descriptors)
+        )
+        assert restored.to_bytes(compress=compress) == payload
+
     def test_truncate_is_view_and_serializes_identically(self):
         fingerprint = Fingerprint(
             keypoints=keypoint_set(20, 5),
@@ -206,7 +239,7 @@ class TestSerializeInto:
         assert truncated.keypoints.descriptors.base is (
             fingerprint.keypoints.descriptors
         )
-        assert truncated.to_bytes() == serialize_keypoints(
+        assert truncated.to_bytes() == serialize_keypoints_reference(
             fingerprint.keypoints.select(np.arange(8))
         )
 

@@ -26,11 +26,11 @@ from repro.obs import (
     DEFAULT_QUANTILES,
     MetricsRegistry,
     QuantileSketch,
-    parse_prometheus,
     use_registry,
 )
 from repro.parallel import parallel_map
 from repro.util.rng import rng_for
+from tests.prometheus_reference import parse_prometheus
 
 
 def _exact(values, q: float) -> float:
