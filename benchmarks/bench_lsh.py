@@ -12,16 +12,20 @@ Rows:
   row, ``k = 3`` (a venue server's neighbours per keypoint), since
   wardriven venue tables hold float descriptors;
 * ``build`` — ``LshIndex.build`` over the whole table, the reported
-  ``memory_bytes`` and the bytes tracemalloc sees the build allocate
-  and keep;
+  ``memory_bytes``, the row store's share of it (``row_store_bytes``:
+  the descriptor rows, uint8 for this byte-valued table, plus a float64
+  norm per row) and the bytes tracemalloc sees the build allocate and
+  keep;
 * ``project`` — ``StableProjections.project`` of the whole table and of
   one 100-row fingerprint.
 
 Query rows record the median and p90 of per-fingerprint wall time (best
-of three passes per fingerprint), the distinct candidates per query row
-and the shortlist per query row that survives the float32 filter; the
-build and project rows record best-of-N wall times.  Rows land in
-BENCH_lsh.json via ``conftest.pytest_sessionfinish``.
+of three passes per fingerprint), the median of all timed passes (every
+pass of every fingerprint, comparable with perfbench's per-read
+``lsh.query_ms``), the distinct candidates per query row and the
+shortlist per query row that survives the float32 filter; the build and
+project rows record best-of-N wall times.  Rows land in BENCH_lsh.json
+via ``conftest.pytest_sessionfinish``.
 """
 
 from __future__ import annotations
@@ -95,6 +99,31 @@ _BEFORE_CSR = {
 }
 
 
+#: The query and build rows measured at the commit before the uint8 row store and the
+#: per-query mat-vec filter (float32 rows, a chunked ``np.vecdot`` over
+#: gathered row and query copies), with this file's timing loop on the
+#: same table and fingerprints.  Recorded by hand on the host named
+#: here; the bench does not regenerate it.
+_BEFORE_U8_ROWS = {
+    "host_cpus": 2,
+    "camera_k2_query_batch_ms_p50": 16.21,
+    "camera_k2_query_batch_ms_p90": 23.01,
+    "camera_k2_query_batch_ms_median_all": 17.5,
+    "venue_jitter_k3_query_batch_ms_p50": 16.45,
+    "venue_jitter_k3_query_batch_ms_median_all": 18.12,
+    "build_ms": 79.86,
+    "build_memory_bytes": 15063784,
+    "row_store_bytes": 13704080,
+    "note": (
+        "OPENBLAS_NUM_THREADS=1 on both sides, runs alternated on a shared "
+        "2-vCPU host, this row from the run just before the one recorded "
+        "beside it; over five such pairs the camera p50 read 16.2-22.6 ms "
+        "before against 14.7-16.9 ms after, and the jitter p50 16.5-21.7 ms "
+        "before against 16.7-20.5 ms after"
+    ),
+}
+
+
 @pytest.fixture(scope="module")
 def scene_table() -> tuple[np.ndarray, list[np.ndarray]]:
     """Scene-library descriptors and wire-format query fingerprints."""
@@ -127,16 +156,16 @@ def scene_table() -> tuple[np.ndarray, list[np.ndarray]]:
     return database.descriptors, queries
 
 
-def _per_fingerprint_ms(index, queries: list[np.ndarray], k: int) -> np.ndarray:
-    """Best-of-``_REPEATS`` wall time of one ``query_batch`` per fingerprint."""
+def _query_ms(index, queries: list[np.ndarray], k: int) -> np.ndarray:
+    """Wall time of every ``query_batch``, ``(_REPEATS, fingerprints)`` ms."""
     index.query_batch(queries[0], num_neighbors=k)  # warm caches
-    best = np.full(len(queries), np.inf)
-    for _ in range(_REPEATS):
+    samples = np.empty((_REPEATS, len(queries)))
+    for repeat in range(_REPEATS):
         for i, rows in enumerate(queries):
             start = time.perf_counter()
             index.query_batch(rows, num_neighbors=k)
-            best[i] = min(best[i], time.perf_counter() - start)
-    return best * 1e3
+            samples[repeat, i] = time.perf_counter() - start
+    return samples * 1e3
 
 
 def _work_per_row(index, queries: list[np.ndarray], k: int) -> tuple[float, float]:
@@ -163,8 +192,15 @@ def _best_ms(call, repeats: int) -> float:
     return round(best * 1e3, 2)
 
 
+def _row_store_bytes(index) -> int:
+    """``memory_bytes`` less the bucket tables: the rows and their norms."""
+    tables = sum(array.nbytes for table in index._tables for array in table)
+    return index.memory_bytes() - tables
+
+
 def _row(index, queries: list[np.ndarray], k: int) -> dict:
-    ms = _per_fingerprint_ms(index, queries, k)
+    samples = _query_ms(index, queries, k)
+    ms = samples.min(axis=0)  # best pass per fingerprint
     candidates, shortlist = _work_per_row(index, queries, k)
     return {
         "table_rows": index.size,
@@ -173,6 +209,7 @@ def _row(index, queries: list[np.ndarray], k: int) -> dict:
         "k": k,
         "query_batch_ms_p50": round(float(np.median(ms)), 2),
         "query_batch_ms_p90": round(float(np.percentile(ms, 90)), 2),
+        "query_batch_ms_median_all": round(float(np.median(samples)), 2),
         "candidates_per_row": round(candidates, 1),
         "shortlist_per_row": round(shortlist, 2),
     }
@@ -184,6 +221,7 @@ def test_lsh_query_camera(scene_table, lsh_trajectory):
     row = _row(index, queries, k=2)
     lsh_trajectory["camera_k2"] = row
     lsh_trajectory["before_filter_refine"] = _BEFORE_FILTER_REFINE
+    lsh_trajectory["before_u8_rows"] = _BEFORE_U8_ROWS
     print(f"\ncamera k=2: {row}")
 
 
@@ -202,6 +240,7 @@ def test_lsh_build(scene_table, lsh_trajectory):
         "table_rows": index.size,
         "build_ms": build_ms,
         "memory_bytes": index.memory_bytes(),
+        "row_store_bytes": _row_store_bytes(index),
         "traced_bytes": traced,
     }
     lsh_trajectory["build"] = row

@@ -91,9 +91,12 @@ class ServerStateStore:
     def save(self, server: VisualPrintServer) -> int:
         """Commit the server's state as a new generation; returns its number."""
         low, high = server.bounds()
+        # The index may keep byte-valued rows as uint8; the section is
+        # float32 either way.
+        rows = server.descriptors.astype(np.float32, copy=False)
         sections = {
             "config.json": _config_to_json(server.config),
-            "descriptors.npy": _npy_bytes(server.descriptors),
+            "descriptors.npy": _npy_bytes(rows),
             "positions.npy": _npy_bytes(server.positions),
             "bounds.npy": _npy_bytes(np.vstack([low, high])),
             "counters.npy": _npy_bytes(server.oracle.counting.counters),

@@ -220,7 +220,11 @@ class VisualPrintServer:
 
     @property
     def descriptors(self) -> np.ndarray:
-        """All ingested descriptor rows: a read-only view of the lookup table's."""
+        """All ingested descriptor rows: a read-only view of the lookup table's.
+
+        uint8 while every row is byte-valued, else float32
+        (see :attr:`repro.lsh.LshIndex.descriptors`).
+        """
         return self.lookup.descriptors
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:

@@ -80,12 +80,6 @@ class QuantizedBuckets:
         """64-bit bucket keys for one table (see :func:`bucket_keys`)."""
         return bucket_keys(self.table_vectors(table), table, seed_base)
 
-    def perturbed(self, table: int, projection: int, delta: int) -> np.ndarray:
-        """One-cell perturbation of a single coordinate (multiprobe)."""
-        vectors = self.buckets[:, table, :].copy()
-        vectors[:, projection] += delta
-        return (vectors + _BUCKET_BIAS).astype(np.uint32)
-
     def probe_vectors(
         self, table: int, projections: np.ndarray, deltas: np.ndarray
     ) -> np.ndarray:

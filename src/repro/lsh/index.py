@@ -13,10 +13,17 @@ Every table is three flat arrays in CSR form: sorted unique 64-bit
 bucket keys, offsets, and the stored rows of each bucket in insertion
 order.  Inserts merge a sorted batch in; queries resolve all probe keys
 with ``searchsorted`` and work on flat ``(query, row)`` pairs, so no
-Python runs per bucket or per query row.
+Python runs per bucket or per candidate.
 
-The re-rank is filter-and-refine.  A float32 dot product per pair
-estimates each candidate's squared distance, ``‖d‖² − 2·d·q + ‖q‖²``,
+The rows are kept as uint8 while every stored entry is one of
+0, 1, ..., 255 (SIFT descriptors off the wire are), and as float32
+otherwise; the first batch that is not byte-valued widens the store
+once, and it never narrows back.  Either way the stored value is the
+exact row.
+
+The re-rank is filter-and-refine.  A float32 dot product per pair, one
+mat-vec over each query's candidate rows, estimates each candidate's
+squared distance, ``‖d‖² − 2·d·q + ‖q‖²``,
 from a stored float64 ``‖d‖²`` per row, within a proven rounding bound;
 only pairs that can still be among their query's k nearest (about k
 per query) get the exact float64 distance.  Distances are bit-identical
@@ -49,9 +56,10 @@ _F32_UNIT = 2.0**-24
 # Relative margin for float64 rounding in the norms, the filter
 # arithmetic and the exact refine (each about 1e-14 relative).
 _F64_SLACK = 1e-9
-# Candidate pairs per float32 dot-product chunk: the gathered rows and
-# queries (512 KB each) stay in cache however many pairs there are.
-_DOT_CHUNK = 1024
+# Bit pattern of float32 255.0.  Non-negative float32 values order like
+# their bit patterns, and every negative value (-0.0 too) and every NaN
+# has a larger pattern than 255.0.
+_BYTE_MAX_BITS = np.float32(255.0).view(np.uint32)
 
 
 class _Table(NamedTuple):
@@ -125,6 +133,17 @@ def _merge(table: _Table, keys: np.ndarray, first_row: int, cap: int) -> _Table:
     return _Table(merged_keys, offsets, rows)
 
 
+def _byte_valued(rows: np.ndarray) -> bool:
+    """Whether every entry of float32 ``rows`` is one of 0.0, 1.0, ..., 255.0.
+
+    Those are the values uint8 holds exactly; -0.0 is not among them, so
+    a byte-valued row cast back to float32 has the bytes it came in with.
+    """
+    if rows.view(np.uint32).max() > _BYTE_MAX_BITS:
+        return False
+    return bool(np.array_equal(rows.astype(np.uint8), rows))
+
+
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenation of ``arange(s, s + c)`` over the pairs, without a loop."""
     ends = np.cumsum(counts)
@@ -183,7 +202,9 @@ class LshIndex:
         # Amortized-growth row storage: descriptors live in a
         # capacity-doubling array so :meth:`insert` appends in O(batch)
         # instead of re-copying (and re-hashing) all history per batch.
-        # Each row's squared norm ‖d‖² (float64) feeds the query filter.
+        # The rows are uint8 while every one is byte-valued, else
+        # float32.  Each row's squared norm ‖d‖² (float64) feeds the
+        # query filter.
         self._store: np.ndarray | None = None
         self._norms_store: np.ndarray | None = None
         self._size = 0
@@ -195,7 +216,11 @@ class LshIndex:
 
     @property
     def descriptors(self) -> np.ndarray:
-        """The stored rows, ``(size, D)`` float32, as a read-only view."""
+        """The stored rows, ``(size, D)``, as a read-only view of the row store.
+
+        Its dtype is the store's: uint8 while every row is byte-valued,
+        float32 otherwise (and for an empty index).
+        """
         if self._store is None:
             return np.empty((0, self.params.dimension), dtype=np.float32)
         rows = self._store[: self._size]
@@ -210,27 +235,32 @@ class LshIndex:
         self._size = 0
         self.insert(descriptors)
 
-    def _grow_storage(self, extra_rows: int, dimension: int) -> None:
+    def _grow_storage(self, extra_rows: int, dtype: type) -> None:
+        """Room for ``extra_rows`` more rows in a ``dtype`` row store.
+
+        A full store doubles; a uint8 store asked for float32 rows is
+        widened, in the same copy when it also has to grow.  Callers ask
+        a float32 store only for float32, so it never narrows.
+        """
         needed = self._size + extra_rows
+        dimension = self.params.dimension
         if self._store is None:
             capacity = max(needed, 1024)
-            self._store = np.empty((capacity, dimension), dtype=np.float32)
+            self._store = np.empty((capacity, dimension), dtype=dtype)
             self._norms_store = np.empty(capacity, dtype=np.float64)
             return
-        if self._store.shape[1] != dimension:
-            raise ValueError(
-                f"descriptor dimension {dimension} does not match "
-                f"indexed dimension {self._store.shape[1]}"
-            )
-        if needed <= self._store.shape[0]:
-            return
-        capacity = max(needed, 2 * self._store.shape[0])
-        grown = np.empty((capacity, self._store.shape[1]), dtype=np.float32)
-        grown[: self._size] = self._store[: self._size]
-        self._store = grown
-        grown_norms = np.empty(capacity, dtype=np.float64)
-        grown_norms[: self._size] = self._norms_store[: self._size]
-        self._norms_store = grown_norms
+        capacity = self._store.shape[0]
+        grow = needed > capacity
+        if grow:
+            capacity = max(needed, 2 * capacity)
+        if grow or dtype != self._store.dtype:
+            grown = np.empty((capacity, dimension), dtype=dtype)
+            grown[: self._size] = self._store[: self._size]
+            self._store = grown
+        if grow:
+            grown_norms = np.empty(capacity, dtype=np.float64)
+            grown_norms[: self._size] = self._norms_store[: self._size]
+            self._norms_store = grown_norms
 
     def insert(self, descriptors: np.ndarray) -> None:
         """Append descriptors as the next rows — only the new batch is hashed.
@@ -242,9 +272,9 @@ class LshIndex:
         arrays once (O(stored), no re-sort, no re-hash).
         Bucket capping keeps first-inserted rows, so any split into
         batches gives the tables of one :meth:`build` over all rows.
-        A rejected batch leaves the index as it was: its rows land in
-        spare capacity past ``size`` and count as stored only once the
-        batch's buckets pass the range check.
+        A rejected batch leaves the index as it was: the range check
+        runs before the row store changes dtype or capacity, and the
+        batch's rows land in spare capacity past ``size``.
         """
         descriptors = np.asarray(descriptors, dtype=np.float32)
         if descriptors.ndim != 2:
@@ -252,8 +282,12 @@ class LshIndex:
         num_new = descriptors.shape[0]
         if num_new == 0:
             return
+        self.projections.check_range(descriptors)
+        dtype = np.float32
+        if self._store is None or self._store.dtype == np.uint8:
+            dtype = np.uint8 if _byte_valued(descriptors) else np.float32
         start_row = self._size
-        self._grow_storage(num_new, descriptors.shape[1])
+        self._grow_storage(num_new, dtype)
         self._store[start_row : start_row + num_new] = descriptors
         # einsum casts through its small buffers, not a float64 copy.
         self._norms_store[start_row : start_row + num_new] = np.einsum(
@@ -349,7 +383,11 @@ class LshIndex:
         ``‖d‖² − 2·fl32(d·q) + ‖q‖²`` estimates each squared distance
         within ``slack``: Higham's bound ``γ_D·‖d‖·‖q‖`` on a float32 dot
         product (any summation order), doubled, plus a relative margin
-        for float64 rounding.  A row whose lower bound exceeds its
+        for float64 rounding.  The pairs are sorted by query, so each
+        query's dot products are one float32 mat-vec over its own
+        contiguous slice of candidate rows (uint8 rows cast exactly); the
+        loop runs once per query row with candidates, a few hundred at
+        most per fingerprint.  A row whose lower bound exceeds its
         query's k-th smallest upper bound is strictly farther than k
         other rows in exact arithmetic, so dropping it cannot change the
         answer.  NaN bounds compare false and keep the row for the exact
@@ -361,12 +399,11 @@ class LshIndex:
         norms = self._norms_store[rows]
         query_norm = query_norms[queries]
         dots = np.empty(rows.size)
-        for start in range(0, rows.size, _DOT_CHUNK):
-            chunk = slice(start, start + _DOT_CHUNK)
-            dots[chunk] = np.vecdot(
-                np.take(self._store, rows[chunk], axis=0),
-                np.take(descriptors, queries[chunk], axis=0),
-            )
+        bounds = np.searchsorted(queries, np.arange(descriptors.shape[0] + 1))
+        for query in np.flatnonzero(np.diff(bounds)):
+            pairs = slice(bounds[query], bounds[query + 1])
+            candidates = np.take(self._store, rows[pairs], axis=0)
+            dots[pairs] = candidates.astype(np.float32, copy=False) @ descriptors[query]
         approx = norms - 2.0 * dots + query_norm
         approx[~np.isfinite(approx)] = np.nan
         slack = 2.0 * gamma * np.sqrt(norms * query_norm) + _F64_SLACK * (

@@ -22,8 +22,14 @@ from repro.core.oracle import OracleLookup, UniquenessOracle
 from repro.hashing.families import Murmur3Family
 from repro.hashing.murmur3 import murmur3_32_vectors
 from repro.lsh import QuantizedBuckets
+from repro.lsh.buckets import BUCKET_LIMIT
 
-__all__ = ["indices_reference", "lookup_batch_reference", "perturbation_sets"]
+__all__ = [
+    "indices_reference",
+    "lookup_batch_reference",
+    "perturbation_sets",
+    "perturbed",
+]
 
 
 def indices_reference(family: Murmur3Family, vectors: np.ndarray) -> np.ndarray:
@@ -37,6 +43,19 @@ def indices_reference(family: Murmur3Family, vectors: np.ndarray) -> np.ndarray:
     ]
     hashes = np.stack(columns, axis=1).astype(np.uint64)
     return (hashes % np.uint64(family.table_size)).astype(np.int64)
+
+
+def perturbed(
+    buckets: QuantizedBuckets, table: int, projection: int, delta: int
+) -> np.ndarray:
+    """``(n, M)`` uint32 vectors of one table with one coordinate moved one cell.
+
+    The single-probe form of ``QuantizedBuckets.probe_vectors``, encoded
+    the same way as ``QuantizedBuckets.table_vectors``.
+    """
+    vectors = buckets.buckets[:, table, :].copy()
+    vectors[:, projection] += delta
+    return (vectors + BUCKET_LIMIT).astype(np.uint32)
 
 
 def perturbation_sets(
@@ -99,7 +118,7 @@ def lookup_batch_reference(
                 residuals[row, table, :], config.max_probes_per_table
             ):
                 probes.append(
-                    (row_quantized.perturbed(table, projection, delta)[0], True)
+                    (perturbed(row_quantized, table, projection, delta)[0], True)
                 )
             for vector, is_probe in probes:
                 indices = family.indices(vector[np.newaxis, :])

@@ -13,7 +13,7 @@ from pathlib import Path
 
 _PACKAGE = Path(__file__).resolve().parent.parent / "src" / "repro"
 _MODULES = sorted(_PACKAGE.rglob("*.py"))
-_TEST_ONLY_NAMES = {"_lookup_batch_scalar", "_trilinear_accumulate"}
+_TEST_ONLY_NAMES = {"_lookup_batch_scalar", "_trilinear_accumulate", "perturbed"}
 
 
 def _module_name(path: Path) -> str:

@@ -26,7 +26,7 @@ from tests.lsh_reference import (
     query_batch_reference,
     tables_reference,
 )
-from tests.oracle_reference import perturbation_sets
+from tests.oracle_reference import perturbation_sets, perturbed
 
 
 class TestE2LSHParams:
@@ -147,9 +147,9 @@ class TestQuantizedBuckets:
         data = np.zeros((1, 2, 3), dtype=np.int64)
         buckets = QuantizedBuckets(data)
         original = buckets.table_vectors(1)[0]
-        perturbed = buckets.perturbed(1, 2, +1)[0]
-        assert perturbed[2] == original[2] + 1
-        assert np.array_equal(perturbed[:2], original[:2])
+        moved = perturbed(buckets, 1, 2, +1)[0]
+        assert moved[2] == original[2] + 1
+        assert np.array_equal(moved[:2], original[:2])
 
 
 class TestMultiprobe:
@@ -198,9 +198,10 @@ class TestLshIndex:
         for row, single in enumerate(descriptors_1k[:5]):
             assert per_query(index.query_batch(single[None], 2), 1) == [batch[row]]
 
-    def test_memory_exceeds_descriptor_bytes(self, index, descriptors_1k):
-        # L-fold bucket replication: the Fig. 15 LSH overhead.
-        assert index.memory_bytes() > descriptors_1k.astype(np.float32).nbytes
+    def test_memory_exceeds_descriptor_bytes(self, index):
+        # L-fold bucket replication, the Fig. 15 LSH overhead: the tables
+        # alone outweigh the rows the index stores.
+        assert _tables_bytes(index) > index.descriptors.nbytes
 
     def test_empty_index_raises(self, descriptors_1k):
         with pytest.raises(RuntimeError):
@@ -255,7 +256,9 @@ class TestLshIndex:
         ids = np.arange(1000) * 7  # the caller's payload ids, by stored row
         _, rows, _ = idx.query_batch(descriptors_1k[10:11])
         assert ids[rows].tolist() == [70]
+        # A view of the (uint8, byte-valued) store, never a copy.
         assert np.shares_memory(idx.descriptors, idx._store)
+        assert idx.descriptors.dtype == np.uint8
         assert np.array_equal(idx.descriptors, descriptors_1k.astype(np.float32))
 
 
@@ -447,10 +450,118 @@ class TestQueryParity:
         index.build(descriptors_1k[:300])
         buckets = sum(table.keys.size for table in index._tables)
         # uint64 key + int64 offset per bucket (plus one closing offset
-        # per table), int32 row per bucket entry; float32 descriptor and
-        # float64 squared norm per stored row.
+        # per table), int32 row per bucket entry; uint8 descriptor (the
+        # rows are byte-valued) and float64 squared norm per stored row.
         tables = buckets * 16 + index.params.num_tables * (8 + 300 * 4)
-        assert index.memory_bytes() == tables + 300 * (128 * 4 + 8)
+        assert index.memory_bytes() == tables + 300 * (128 + 8)
+
+
+def _tables_bytes(index: LshIndex) -> int:
+    return sum(array.nbytes for table in index._tables for array in table)
+
+
+def _float32_twin(index: LshIndex) -> LshIndex:
+    """``index`` with its rows held as float32: the store before uint8 rows."""
+    twin = LshIndex(index.params, seed=index.projections.seed)
+    twin.build(index.descriptors)
+    twin._store = twin._store.astype(np.float32)
+    return twin
+
+
+class TestRowStore:
+    """uint8 rows while every row is byte-valued, float32 from the first that is not."""
+
+    def test_integer_table_stores_uint8(self, descriptors_1k):
+        index = LshIndex(seed=5)
+        index.build(descriptors_1k)
+        assert index._store.dtype == np.uint8
+        assert index.descriptors.dtype == np.uint8
+        assert index.memory_bytes() == _tables_bytes(index) + 1000 * (128 + 8)
+
+    @pytest.mark.parametrize("value", [0.5, -1.0, -0.0, 256.0])
+    def test_other_values_store_float32(self, descriptors_1k, value):
+        rows = descriptors_1k[:300].astype(np.float32)
+        rows[7, 3] = value
+        index = LshIndex(seed=5)
+        index.build(rows)
+        assert index._store.dtype == np.float32
+        # The stored rows are the inserted float32 bytes, -0.0 included.
+        assert index.descriptors.tobytes() == rows.tobytes()
+        assert index.memory_bytes() == _tables_bytes(index) + 300 * (128 * 4 + 8)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(min_value=1, max_value=500), st.booleans()),
+            min_size=1,
+            max_size=5,
+        ),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_any_split_equals_a_float32_index(self, batches, seed):
+        rng = np.random.default_rng(seed)
+        parts = [
+            rng.integers(0, 256, (size, 128)).astype(np.float32)
+            if integral
+            else rng.normal(120.0, 40.0, (size, 128)).astype(np.float32)
+            for size, integral in batches
+        ]
+        table = np.concatenate(parts)
+        params = E2LSHParams(num_tables=3, num_projections=2, quantization_width=1500.0)
+        grown = LshIndex(params, seed=seed % 1000)
+        for part in parts:
+            grown.insert(part)
+        want = np.uint8 if all(integral for _, integral in batches) else np.float32
+        assert grown._store.dtype == want
+        assert grown.descriptors.tobytes() == table.astype(want).tobytes()
+        assert np.array_equal(grown.descriptors, table)
+        reference = _float32_twin(grown)
+        queries = np.concatenate(
+            [table[rng.integers(0, table.shape[0], 8)], rng.integers(0, 256, (4, 128))]
+        ).astype(np.float32)
+        for got, expected in zip(
+            grown.query_batch(queries, 3), reference.query_batch(queries, 3)
+        ):
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("bad", [np.nan, 1e12])
+    def test_rejected_batch_keeps_the_uint8_store(self, descriptors_1k, bad):
+        index = LshIndex(E2LSHParams(), seed=1)
+        index.insert(descriptors_1k[:500])
+        capacity = index._store.shape[0]
+        memory = index.memory_bytes()
+        queries = descriptors_1k[::50]
+        before = per_query(index.query_batch(queries, 3), 20)
+        # Valid float rows would widen the store; the bad row rejects
+        # the batch before anything changes.
+        batch = np.vstack([descriptors_1k[500:510] + 0.5, np.full((1, 128), bad)])
+        with pytest.raises(ValueError):
+            index.insert(batch)
+        assert index._store.dtype == np.uint8
+        assert index._store.shape[0] == capacity
+        assert index.size == 500
+        assert index.memory_bytes() == memory
+        assert per_query(index.query_batch(queries, 3), 20) == before
+
+    def test_widening_keeps_rows_and_answers(self, descriptors_1k):
+        # 1,000 byte-valued rows, then 100 float rows: the second batch
+        # widens and grows the 1,024-row store in one copy.
+        table = np.vstack([descriptors_1k, descriptors_1k[:100] + 0.25]).astype(np.float32)
+        grown = LshIndex(seed=8)
+        grown.insert(table[:1000])
+        assert grown._store.dtype == np.uint8
+        grown.insert(table[1000:])
+        assert grown._store.dtype == np.float32
+        assert grown._store.shape[0] == 2048
+        built = LshIndex(seed=8)
+        built.build(table)
+        assert grown.descriptors.tobytes() == built.descriptors.tobytes()
+        queries = table[::23]
+        assert per_query(grown.query_batch(queries, 3), 48) == per_query(
+            built.query_batch(queries, 3), 48
+        )
+        _assert_parity(grown, queries, 3)
 
 
 def _table_dict(table) -> dict[int, list[int]]:

@@ -438,7 +438,11 @@ class TestLshIncrementalInsert:
     def test_memory_accounting_after_inserts(self, descriptors_1k):
         index = LshIndex(seed=3)
         index.insert(descriptors_1k[:500])
-        assert index.memory_bytes() > descriptors_1k[:500].astype(np.float32).nbytes
+        index.insert(descriptors_1k[500:600])
+        # The L-fold tables alone outweigh the rows the index stores.
+        tables = sum(array.nbytes for table in index._tables for array in table)
+        assert tables > index.descriptors.nbytes
+        assert index.memory_bytes() == tables + 600 * (128 + 8)
 
 
 class TestCliMetrics:

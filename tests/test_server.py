@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from repro.bloom import SnapshotCorruptError
 from repro.core import Fingerprint, VisualPrintConfig, VisualPrintServer
+from repro.core.persistence import ServerStateStore
 from repro.features.keypoint import KeypointSet
 from repro.serving.synthetic import synthetic_query, synthetic_venue_server
 from repro.wardrive.environment import random_sift_descriptor
@@ -117,6 +119,24 @@ class TestRowStore:
         assert not server.positions.flags.writeable
         with pytest.raises(ValueError):
             rows[0, 0] = 1.0
+
+    def test_snapshot_sections_keep_their_bytes(self, tmp_path):
+        # A byte-valued table: the index keeps it as uint8, and the saved
+        # section is the float32 file a float32 row store wrote.
+        server = synthetic_venue_server(np.random.default_rng(31), num_descriptors=200)
+        rows = server.descriptors
+        assert np.array_equal(np.round(rows), rows)
+        store = ServerStateStore(tmp_path / "first")
+        store.save(server)
+        sections = store.store.load().sections
+        digest = hashlib.sha256(sections["descriptors.npy"]).hexdigest()
+        assert digest == (
+            "6913513c833d93b1ec12dd67e00199cbcb197cdb0929619e7f20ceb091f2c845"
+        )
+        loaded, _ = store.load()
+        again = ServerStateStore(tmp_path / "second")
+        again.save(loaded)
+        assert again.store.load().sections == sections
 
     def test_empty_server_has_no_rows(self):
         server = VisualPrintServer(VisualPrintConfig(descriptor_capacity=1024))
