@@ -102,6 +102,12 @@ def lsh_trajectory() -> dict[str, dict]:
 
 
 @pytest.fixture(scope="session")
+def localize_trajectory() -> dict[str, dict]:
+    """Mutable dict the venue read-path benchmark fills with rows."""
+    return _TRAJECTORIES.setdefault("BENCH_localize.json", {})
+
+
+@pytest.fixture(scope="session")
 def loadgen_trajectory() -> dict[str, dict]:
     """Mutable dict the fleet load-test benchmarks fill with rows."""
     return _TRAJECTORIES.setdefault("BENCH_loadgen.json", {})

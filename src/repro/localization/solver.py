@@ -103,15 +103,32 @@ def angular_residuals(
     to_i = np.ascontiguousarray(points_i.T)[:, None, :] - origin
     to_j = np.ascontiguousarray(points_j.T)[:, None, :] - origin
     dot = np.einsum("ksp,ksp->sp", to_i, to_j)
-    norm_i = np.sqrt(np.einsum("ksp,ksp->sp", to_i, to_i))
-    norm_j = np.sqrt(np.einsum("ksp,ksp->sp", to_j, to_j))
-    safe = np.maximum(norm_i * norm_j, 1e-9)
-    return np.arccos(np.clip(dot / safe, -1.0, 1.0)) - perceived
+    norm_i = np.einsum("ksp,ksp->sp", to_i, to_i)
+    norm_j = np.einsum("ksp,ksp->sp", to_j, to_j)
+    # arccos(clip(dot / max(|i| |j|, 1e-9), -1, 1)) - perceived, in place.
+    np.sqrt(norm_i, out=norm_i)
+    np.sqrt(norm_j, out=norm_j)
+    safe = np.multiply(norm_i, norm_j, out=norm_i)
+    np.maximum(safe, 1e-9, out=safe)
+    cosine = np.divide(dot, safe, out=dot)
+    np.maximum(cosine, -1.0, out=cosine)
+    np.minimum(cosine, 1.0, out=cosine)
+    angle = np.arccos(cosine, out=cosine)
+    angle -= perceived
+    return angle
 
 
 def soft_l1_cost(residuals: np.ndarray) -> np.ndarray:
-    """Soft-L1 sum of each row; keeps stray wrong matches from dominating."""
-    return np.sum(2.0 * (np.sqrt(1.0 + residuals**2) - 1.0), axis=-1)
+    """Soft-L1 sum of each row; keeps stray wrong matches from dominating.
+
+    ``sum(2 (sqrt(1 + r^2) - 1))`` over the last axis, in one buffer.
+    """
+    cost = np.square(residuals)
+    cost += 1.0
+    np.sqrt(cost, out=cost)
+    cost -= 1.0
+    cost *= 2.0
+    return np.add.reduce(cost, axis=-1)
 
 
 def _differential_evolution(
@@ -157,7 +174,10 @@ def _differential_evolution(
         accepted = trial_energies <= energies
         members[accepted] = trial[accepted]
         energies[accepted] = trial_energies[accepted]
-        if np.std(energies) <= _DE_TOLERANCE * abs(np.mean(energies)):
+        # np.std(E) <= tol * |np.mean(E)|, through the ufuncs those call.
+        mean = np.add.reduce(energies) / count
+        spread = np.sqrt(np.add.reduce(np.square(energies - mean)) / count)
+        if spread <= _DE_TOLERANCE * abs(mean):
             converged = True
             break
     # Clipped: low + 1.0 * span can overshoot high by an ulp, and

@@ -282,17 +282,14 @@ class LshIndex:
         num_new = descriptors.shape[0]
         if num_new == 0:
             return
-        self.projections.check_range(descriptors)
+        norms = self.projections.check_range(descriptors)
         dtype = np.float32
         if self._store is None or self._store.dtype == np.uint8:
             dtype = np.uint8 if _byte_valued(descriptors) else np.float32
         start_row = self._size
         self._grow_storage(num_new, dtype)
         self._store[start_row : start_row + num_new] = descriptors
-        # einsum casts through its small buffers, not a float64 copy.
-        self._norms_store[start_row : start_row + num_new] = np.einsum(
-            "ij,ij->i", descriptors, descriptors, dtype=np.float64
-        )
+        self._norms_store[start_row : start_row + num_new] = norms
         quantized = QuantizedBuckets(self.projections.quantize(descriptors))
         for index, table in enumerate(self._tables):
             keys = quantized.table_keys(index)

@@ -102,7 +102,7 @@ class StableProjections:
         blocks = padded.reshape(-1, _BLOCK_ROWS, dimension) @ self._hyperplanes.T
         return blocks.reshape(-1, *self._offsets.shape)[:n] + self._offsets
 
-    def check_range(self, descriptors: np.ndarray) -> None:
+    def check_range(self, descriptors: np.ndarray) -> np.ndarray:
         """Raise ``ValueError`` unless every bucket of ``descriptors`` can be encoded.
 
         The same check :class:`repro.lsh.QuantizedBuckets` makes on the
@@ -110,6 +110,7 @@ class StableProjections:
         Since ``|floor((a·x + b) / W)| <= ‖a‖·‖x‖ / W + 2`` with ``0 <= b < W``,
         rows whose norm is well inside that bound pass without projecting;
         only the rest (and non-finite rows) are quantized and checked.
+        Returns each row's float64 ``‖x‖²``, which the check computes anyway.
         """
         descriptors = np.asarray(descriptors)
         if descriptors.ndim != 2 or descriptors.shape[1] != self.params.dimension:
@@ -126,6 +127,7 @@ class StableProjections:
             if not np.isfinite(norms[unclear]).all():
                 raise ValueError("descriptors must be finite")
             QuantizedBuckets(self.quantize(descriptors[unclear]))
+        return norms
 
     def quantize(self, descriptors: np.ndarray) -> np.ndarray:
         """Bucket vectors ``floor(projection / W)``, shape ``(n, L, M)`` int64."""

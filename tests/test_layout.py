@@ -14,6 +14,16 @@ from pathlib import Path
 _PACKAGE = Path(__file__).resolve().parent.parent / "src" / "repro"
 _MODULES = sorted(_PACKAGE.rglob("*.py"))
 _TEST_ONLY_NAMES = {"_lookup_batch_scalar", "_trilinear_accumulate", "perturbed"}
+_TESTS = Path(__file__).resolve().parent
+#: Twins of replaced library paths, by the ``tests`` module that keeps them.
+_TWINS_IN_TESTS = {
+    "clustering_reference": {"dbscan_labels_reference"},
+    "solver_reference": {
+        "angular_residuals_reference",
+        "differential_evolution_reference",
+        "soft_l1_cost_reference",
+    },
+}
 
 
 def _module_name(path: Path) -> str:
@@ -56,6 +66,17 @@ def test_no_reference_twins_in_src():
         and (node.name.endswith("_reference") or node.name in _TEST_ONLY_NAMES)
     ]
     assert twins == [], f"test-only reference code belongs under tests/: {twins}"
+
+
+def test_twins_live_in_tests():
+    for module, names in _TWINS_IN_TESTS.items():
+        path = _TESTS / f"{module}.py"
+        defined = {
+            node.name
+            for node in ast.parse(path.read_text(), filename=str(path)).body
+            if isinstance(node, ast.FunctionDef)
+        }
+        assert names <= defined, f"{module} lacks {names - defined}"
 
 
 def test_library_does_not_import_cli():

@@ -21,7 +21,14 @@ from repro.localization import (
     largest_cluster,
     localization_errors,
 )
+from repro.localization import solver
 from repro.localization.solver import angular_residuals, soft_l1_cost
+from tests.clustering_reference import dbscan_labels_reference
+from tests.solver_reference import (
+    angular_residuals_reference,
+    differential_evolution_reference,
+    soft_l1_cost_reference,
+)
 
 
 class TestDbscan:
@@ -55,6 +62,98 @@ class TestDbscan:
     def test_invalid_eps(self):
         with pytest.raises(ValueError):
             dbscan_labels(np.zeros((3, 3)), eps=0.0)
+
+
+def _largest_from_labels(labels: np.ndarray) -> np.ndarray:
+    """The most populous label's indices, ties to the lowest label."""
+    valid = labels[labels >= 0]
+    if valid.size == 0:
+        return np.empty(0, dtype=np.int64)
+    return np.flatnonzero(labels == np.argmax(np.bincount(valid)))
+
+
+def _assert_matches_bfs(points: np.ndarray, eps: float, min_samples: int) -> None:
+    expected = dbscan_labels_reference(points, eps, min_samples)
+    labels = dbscan_labels(points, eps, min_samples)
+    assert labels.dtype == np.int64
+    np.testing.assert_array_equal(labels, expected)
+    np.testing.assert_array_equal(
+        largest_cluster(points, eps, min_samples), _largest_from_labels(expected)
+    )
+
+
+#: Lattice clouds: coordinates are multiples of ``step``, so many pairs
+#: sit at exactly ``eps`` (or one rounding away from it) and repeated
+#: cells are duplicate points.
+_lattice_clouds = st.tuples(
+    st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 2)),
+        max_size=60,
+    ),
+    st.sampled_from([0.1, 0.25, 0.3, 0.5, 1.0]),
+    st.sampled_from([1.0, np.sqrt(2.0), np.sqrt(3.0), 2.0]),
+)
+
+
+class TestDbscanMatchesBfs:
+    """Labels equal the seed-order breadth-first DBSCAN, numbering included."""
+
+    @given(cloud=_lattice_clouds, min_samples=st.integers(1, 8))
+    @settings(max_examples=300, deadline=None)
+    def test_lattice_ties_and_duplicates(self, cloud, min_samples):
+        cells, step, reach = cloud
+        points = np.array(cells, dtype=np.float64).reshape(-1, 3) * step
+        _assert_matches_bfs(points, step * reach, min_samples)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(0, 120),
+        eps=st.floats(0.2, 3.0),
+        min_samples=st.integers(1, 8),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_clouds(self, seed, count, eps, min_samples):
+        rng = np.random.default_rng(seed)
+        centres = rng.uniform(0, 15, (3, 3))
+        points = centres[rng.integers(0, 3, count)] + rng.normal(0, 0.8, (count, 3))
+        # Duplicate a few points.
+        source, target = rng.integers(0, max(count, 1), (2, count // 10))
+        points[target] = points[source]
+        _assert_matches_bfs(points, eps, min_samples)
+
+    @pytest.mark.parametrize("min_samples", range(1, 9))
+    def test_empty_single_and_all_noise(self, min_samples):
+        _assert_matches_bfs(np.empty((0, 3)), 1.0, min_samples)
+        _assert_matches_bfs(np.array([[1.0, 2.0, 3.0]]), 1.0, min_samples)
+        scattered = np.arange(30, dtype=np.float64)[:, None] * [10.0, 0.0, 0.0]
+        _assert_matches_bfs(scattered, 1.0, min_samples)
+
+    @pytest.mark.parametrize("order", range(6))
+    def test_border_point_takes_the_lowest_cluster(self, order):
+        # Two dense clusters on the x axis and one non-core point that is
+        # within eps of a core point of each.
+        left = [[0.0, 0, 0], [0.1, 0, 0], [0.2, 0, 0], [0.3, 0, 0]]
+        right = [[1.7, 0, 0], [1.8, 0, 0], [1.9, 0, 0], [2.0, 0, 0]]
+        points = np.array(left + right + [[1.0, 0, 0]])
+        points = points[np.random.default_rng(order).permutation(9)]
+        _assert_matches_bfs(points, 0.75, 4)
+        labels = dbscan_labels(points, 0.75, 4)
+        border = int(np.flatnonzero(points[:, 0] == 1.0)[0])
+        assert labels[border] == 0
+        assert sorted(set(labels.tolist())) == [0, 1]
+
+    @pytest.mark.parametrize("order", ["forward", "reversed", "shuffled"])
+    @pytest.mark.parametrize("min_samples", [1, 2, 3, 4])
+    def test_200_point_chain(self, order, min_samples):
+        # Neighbours exactly eps apart: one cluster for min_samples <= 3.
+        points = np.arange(200, dtype=np.float64)[:, None] * [0.5, 0.0, 0.0]
+        if order == "reversed":
+            points = points[::-1].copy()
+        elif order == "shuffled":
+            points = points[np.random.default_rng(200).permutation(200)]
+        _assert_matches_bfs(points, 0.5, min_samples)
+        clusters = set(dbscan_labels(points, 0.5, min_samples).tolist())
+        assert clusters == ({0} if min_samples <= 3 else {-1})
 
 
 def _make_problem(true_pose, num_points, rng, pixel_noise=0.5):
@@ -245,6 +344,86 @@ class TestAngularLocalizerContract:
             outputs.append(result.stdout)
         assert outputs[0] == outputs[1]
         assert len(outputs[0].splitlines()) == 3
+
+
+class TestSolverMatchesReference:
+    """The in-place DE generation gives the reference's poses bit for bit."""
+
+    @staticmethod
+    def _outcomes(problems, localizer):
+        outcomes = []
+        for problem in problems:
+            solution = localizer.solve(problem)
+            pose = solution.pose
+            outcomes.append(
+                (
+                    pose.x, pose.y, pose.z, pose.yaw, pose.pitch, pose.roll,
+                    solution.residual, solution.converged, solution.num_pairs,
+                )
+            )
+        return outcomes
+
+    @pytest.mark.parametrize("pixel_noise", [0.5, 4.0])
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"seed": 3}, {"max_pairs": 40, "de_population": 8, "de_max_iterations": 200}],
+    )
+    def test_solve_identical(self, monkeypatch, pixel_noise, options):
+        problems = [problem for _, problem in _pose_suite(pixel_noise, count=6)]
+        localizer = AngularLocalizer(**options)
+        library = self._outcomes(problems, localizer)
+        monkeypatch.setattr(solver, "angular_residuals", angular_residuals_reference)
+        monkeypatch.setattr(solver, "soft_l1_cost", soft_l1_cost_reference)
+        monkeypatch.setattr(
+            solver, "_differential_evolution", differential_evolution_reference
+        )
+        reference = self._outcomes(problems, localizer)
+        # Compared as hex so that a residual of nan or inf compares too.
+        assert [
+            [value.hex() if isinstance(value, float) else value for value in row]
+            for row in library
+        ] == [
+            [value.hex() if isinstance(value, float) else value for value in row]
+            for row in reference
+        ]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_differential_evolution_identical(self, seed):
+        """Same best point and stop generation, converged or not."""
+        rng = np.random.default_rng(seed)
+        centre = rng.uniform(0, 1, 3)
+        low, high = np.zeros(3), np.array([2.0, 3.0, 0.5])
+
+        def cost(points: np.ndarray) -> np.ndarray:
+            return np.add.reduce((points - centre) ** 2, axis=-1) + 1.0
+
+        stops = []
+        for generations in (3, 40, 400):
+            runs = []
+            for function in (solver._differential_evolution, differential_evolution_reference):
+                rng = np.random.default_rng(seed)
+                best, converged = function(cost, low, high, 20, generations, rng)
+                # The next draw shows how many draws the run took.
+                runs.append(([value.hex() for value in best], converged, rng.random()))
+            assert runs[0] == runs[1]
+            stops.append(runs[0][1])
+        assert stops[0] is False and stops[-1] is True
+
+    @given(seed=st.integers(0, 2**32 - 1), population=st.integers(1, 64))
+    @settings(max_examples=40, deadline=None)
+    def test_objective_identical(self, seed, population):
+        rng = np.random.default_rng(seed)
+        positions = rng.uniform([0, 0, 0], [20, 20, 3], (population, 3))
+        # Some points on top of a position: the 1e-9 floor and the clip.
+        points_i, points_j = rng.uniform(-5, 25, (2, 80, 3))
+        points_i[:3] = positions[0]
+        perceived = rng.uniform(0, np.pi, 80)
+        residuals = angular_residuals(positions, points_i, points_j, perceived)
+        expected = angular_residuals_reference(positions, points_i, points_j, perceived)
+        np.testing.assert_array_equal(residuals, expected)
+        np.testing.assert_array_equal(
+            soft_l1_cost(residuals), soft_l1_cost_reference(expected)
+        )
 
 
 class TestLocalizationAccuracy:

@@ -234,9 +234,6 @@ class TestLshIndex:
             untouched.query_batch(queries, 3), 20
         )
 
-    # Casting a non-finite projection to int64 warns before the range
-    # check rejects it.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_row_rejected_untouched(self, descriptors_1k, value):
         index = LshIndex(E2LSHParams(), seed=1)
@@ -515,6 +512,9 @@ class TestRowStore:
         assert grown._store.dtype == want
         assert grown.descriptors.tobytes() == table.astype(want).tobytes()
         assert np.array_equal(grown.descriptors, table)
+        # The stored norms are the float64 ``‖d‖²`` of each inserted row.
+        norms = np.einsum("ij,ij->i", table, table, dtype=np.float64)
+        assert grown._norms_store[: grown.size].tobytes() == norms.tobytes()
         reference = _float32_twin(grown)
         queries = np.concatenate(
             [table[rng.integers(0, table.shape[0], 8)], rng.integers(0, 256, (4, 128))]
