@@ -15,7 +15,7 @@ an order of magnitude."
   3D location (and scene retrieval for the Fig. 13 experiments).
 """
 
-from repro.core.config import ClientConfig, ServerConfig, VisualPrintConfig
+from repro.core.config import ServerConfig, VisualPrintConfig
 from repro.core.fingerprint import Fingerprint, degradation_keep_counts
 from repro.core.client import OffloadReport, VisualPrintClient
 from repro.core.oracle import OracleLookup, UniquenessOracle
@@ -33,7 +33,6 @@ from repro.core.updates import (
 )
 
 __all__ = [
-    "ClientConfig",
     "Fingerprint",
     "LocalizationAnswer",
     "OffloadReport",

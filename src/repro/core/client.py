@@ -20,10 +20,11 @@ deprecation cycle and are gone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.config import ClientConfig, VisualPrintConfig
+from repro.core.config import VisualPrintConfig
 from repro.core.fingerprint import Fingerprint, degradation_keep_counts
 from repro.core.oracle import UniquenessOracle
 from repro.features.keypoint import DESCRIPTOR_DIM, KeypointSet
@@ -38,6 +39,9 @@ from repro.obs import (
     trace_span,
     use_trace_context,
 )
+
+if TYPE_CHECKING:
+    from repro.features.blur import BlurDetector
 
 __all__ = ["OffloadReport", "VisualPrintClient"]
 
@@ -122,28 +126,6 @@ class VisualPrintClient:
         )
         self._m_upload_bytes = self._registry.sketch(
             "client_upload_bytes", help="per-fingerprint upload size"
-        )
-
-    @classmethod
-    def from_config(
-        cls,
-        oracle: UniquenessOracle,
-        config: ClientConfig | None = None,
-        blur_detector: "BlurDetector | None" = None,
-        registry: MetricsRegistry | None = None,
-    ) -> "VisualPrintClient":
-        """Build a client from a :class:`repro.core.config.ClientConfig`."""
-        config = config or ClientConfig(pipeline=oracle.config)
-        return cls(
-            oracle,
-            config=config.pipeline,
-            sift_params=config.sift,
-            blur_detector=blur_detector,
-            registry=registry,
-            retry_policy=config.retry,
-            degrade_floor=config.degrade_floor,
-            degrade_steps=config.degrade_steps,
-            adaptive=config.adaptive,
         )
 
     # ------------------------------------------------------------------

@@ -11,17 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.lsh.projections import E2LSHParams
 from repro.util.validation import check_positive
 
-if TYPE_CHECKING:  # avoid import cycles; configs only reference these
-    from repro.features.sift import SiftParams
-    from repro.network.faults import RetryPolicy
-    from repro.network.linkstate import AdaptiveConfig
-
-__all__ = ["ClientConfig", "ServerConfig", "VisualPrintConfig"]
+__all__ = ["ServerConfig", "VisualPrintConfig"]
 
 
 def _counters_for_capacity(capacity: int, hashes_per_insert: int) -> int:
@@ -96,30 +90,18 @@ class VisualPrintConfig:
         return replace(self, descriptor_capacity=2_500_000)
 
 
-_ADMISSION_MODES = ("wait", "reject")
-
-
 @dataclass(frozen=True)
 class ServerConfig:
-    """Everything the server-side stack needs, as one config object.
+    """The serving topology :func:`repro.loadgen.run_loadtest` replays.
 
-    ``pipeline`` carries the paper's LSH/Bloom operating point
-    (:class:`VisualPrintConfig`); the remaining fields describe the
-    serving topology a :class:`repro.serving.ServingFrontend` builds
-    from this config (shard count, per-shard execution mode, queue
-    bound, admission policy).  ``VisualPrintServer.from_config`` reads
-    only ``pipeline`` — a single-shard engine needs no topology.
+    Shard count, per-shard queue bound, consistent-hash virtual nodes,
+    shards per venue (successor-list replication on the ring; >1 lets
+    one hot venue spread over several shard queues) and the ring seed.
     """
 
-    pipeline: VisualPrintConfig = field(default_factory=VisualPrintConfig)
-    # Serving topology (see repro.serving.ServingFrontend.from_config).
-    num_shards: int = 1
-    workers: int = 1
+    num_shards: int = 4
     queue_depth: int = 64
-    admission: str = "wait"
     hash_replicas: int = 64
-    # Shards serving each venue (successor-list replication on the
-    # ring); >1 lets one hot venue spread over several shard queues.
     replication_factor: int = 1
     seed: int = 0
 
@@ -128,41 +110,3 @@ class ServerConfig:
         check_positive("queue_depth", self.queue_depth)
         check_positive("hash_replicas", self.hash_replicas)
         check_positive("replication_factor", self.replication_factor)
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.admission not in _ADMISSION_MODES:
-            raise ValueError(
-                f"admission must be one of {_ADMISSION_MODES}, "
-                f"got {self.admission!r}"
-            )
-
-
-@dataclass(frozen=True)
-class ClientConfig:
-    """Everything the client library needs, as one config object.
-
-    Replaces the grab-bag of positional kwargs on
-    :class:`repro.core.VisualPrintClient`: ``pipeline`` is the shared
-    operating point, ``sift`` overrides extractor tuning (``None`` keeps
-    the client's default low-contrast threshold), ``retry`` is the
-    uplink retry policy, the ``degrade_*`` fields shape the
-    fingerprint degradation ladder (DESIGN.md §9), and ``adaptive``
-    (an :class:`repro.network.linkstate.AdaptiveConfig`) turns on
-    predictive link-quality estimation — the client then shapes each
-    transmission *before* sending instead of only reacting to failures
-    (DESIGN.md §15).
-    """
-
-    pipeline: VisualPrintConfig = field(default_factory=VisualPrintConfig)
-    sift: "SiftParams | None" = None
-    retry: "RetryPolicy | None" = None
-    degrade_floor: int = 16
-    degrade_steps: int = 2
-    adaptive: "AdaptiveConfig | None" = None
-
-    def __post_init__(self) -> None:
-        check_positive("degrade_floor", self.degrade_floor)
-        if self.degrade_steps < 0:
-            raise ValueError(
-                f"degrade_steps must be >= 0, got {self.degrade_steps}"
-            )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.config import ServerConfig, VisualPrintConfig
+from repro.core.config import VisualPrintConfig
 from repro.core.fingerprint import Fingerprint
 from repro.core.oracle import UniquenessOracle
 from repro.geometry.camera import CameraIntrinsics
@@ -97,23 +97,6 @@ class VisualPrintServer:
         self._m_clustered_points = self._registry.sketch(
             "server_clustered_points",
             help="points surviving spatial clustering per query",
-        )
-
-    @classmethod
-    def from_config(
-        cls,
-        config: "ServerConfig",
-        bounds: tuple[np.ndarray, np.ndarray] | None = None,
-        intrinsics: CameraIntrinsics | None = None,
-        registry: MetricsRegistry | None = None,
-    ) -> "VisualPrintServer":
-        """Build a single-venue engine from a :class:`ServerConfig`.
-
-        Only ``config.pipeline`` matters here; the topology fields are
-        consumed by :meth:`repro.serving.ServingFrontend.from_config`.
-        """
-        return cls(
-            config.pipeline, bounds=bounds, intrinsics=intrinsics, registry=registry
         )
 
     @property

@@ -232,8 +232,7 @@ def run(
     }
 
 
-def main(workers: int = 1, **overrides) -> None:
-    del workers  # single-channel pricing loop; nothing to fan out
+def main(**overrides) -> None:
     result = run(**overrides)
     print("Adaptive vs. reactive offload across loss regimes")
     print(

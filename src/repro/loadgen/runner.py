@@ -255,7 +255,7 @@ def run_loadtest(
     quadratic).  Identical arguments produce an identical report — the
     property the CI gate's bit-identical rerun locks.
     """
-    cluster = cluster if cluster is not None else ServerConfig(num_shards=4)
+    cluster = cluster if cluster is not None else ServerConfig()
     registry = resolve_registry(registry)
     tracker = slo_tracker if slo_tracker is not None else current_slo_tracker()
 

@@ -164,20 +164,6 @@ class ServingFrontend:
         self._sems: dict[str, asyncio.Semaphore] = {}
         self._sems_loop: asyncio.AbstractEventLoop | None = None
 
-    @classmethod
-    def from_config(cls, config, registry: MetricsRegistry | None = None) -> "ServingFrontend":
-        """Build a frontend from a :class:`repro.core.config.ServerConfig`."""
-        return cls(
-            num_shards=config.num_shards,
-            workers=config.workers,
-            queue_depth=config.queue_depth,
-            admission=config.admission,
-            replicas=config.hash_replicas,
-            seed=config.seed,
-            registry=registry,
-            replication_factor=getattr(config, "replication_factor", 1),
-        )
-
     # ------------------------------------------------------------------
     # Topology
     # ------------------------------------------------------------------

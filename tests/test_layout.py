@@ -2,14 +2,20 @@
 
 Reference twins of library algorithms live in ``tests/*_reference.py``,
 library modules never import the CLI, and nothing under ``src/`` imports
-the tests.  These checks read the source with :mod:`ast`, so they import
-nothing and cover every module, including ones no test touches.
+the tests.  These checks read the source with :mod:`ast`, so they cover
+every module, including ones no test touches.  The public-surface checks
+import the modules that declare ``__all__``: every listed name resolves,
+and the deleted config-first construction path stays gone.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
+import importlib
 from pathlib import Path
+
+import pytest
 
 _PACKAGE = Path(__file__).resolve().parent.parent / "src" / "repro"
 _MODULES = sorted(_PACKAGE.rglob("*.py"))
@@ -102,3 +108,45 @@ def test_library_does_not_import_tests():
         )
     ]
     assert offenders == []
+
+
+def _declares_all(path: Path) -> bool:
+    return any(
+        isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+    )
+
+
+def test_every_public_name_resolves():
+    modules = [_module_name(path) for path in _MODULES if _declares_all(path)]
+    assert "repro" in modules and "repro.core.config" in modules
+    unresolved = []
+    for name in modules:
+        module = importlib.import_module(name)
+        unresolved += [f"{name}.{a}" for a in module.__all__ if not hasattr(module, a)]
+    assert unresolved == []
+
+
+def test_config_first_construction_is_gone():
+    import repro
+    import repro.core
+    import repro.core.config
+    from repro.core import ServerConfig, VisualPrintClient, VisualPrintServer
+    from repro.serving import ServingFrontend
+
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.api")
+    for module in (repro, repro.core, repro.core.config):
+        assert not hasattr(module, "ClientConfig")
+        assert "ClientConfig" not in module.__all__
+    for engine in (VisualPrintClient, VisualPrintServer, ServingFrontend):
+        assert not hasattr(engine, "from_config")
+    assert [field.name for field in dataclasses.fields(ServerConfig)] == [
+        "num_shards",
+        "queue_depth",
+        "hash_replicas",
+        "replication_factor",
+        "seed",
+    ]
+    assert repro.ServerConfig is ServerConfig

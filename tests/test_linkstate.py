@@ -517,16 +517,14 @@ class TestOutageEvents:
 
 class TestClientIntegration:
     def _client(self, adaptive):
-        from repro.api import ClientConfig, UniquenessOracle, VisualPrintClient
-        from repro.core.config import VisualPrintConfig
+        from repro import UniquenessOracle, VisualPrintClient, VisualPrintConfig
 
         config = VisualPrintConfig(
             descriptor_capacity=4096, fingerprint_size=24
         )
         oracle = UniquenessOracle(config)
-        return VisualPrintClient.from_config(
-            oracle,
-            ClientConfig(pipeline=config, degrade_floor=4, adaptive=adaptive),
+        return VisualPrintClient(
+            oracle, config, degrade_floor=4, adaptive=adaptive
         )
 
     def _fingerprint(self, client):

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.core import (
     OracleRefresher,
-    ServerConfig,
     UniquenessOracle,
     VisualPrintConfig,
     VisualPrintServer,
@@ -356,15 +355,6 @@ class TestServingFrontend:
             ServingFrontend(queue_depth=0)
         with pytest.raises(ValueError):
             ServingFrontend(admission="drop")
-
-    def test_from_config(self):
-        frontend = ServingFrontend.from_config(
-            ServerConfig(num_shards=3, queue_depth=7, admission="reject")
-        )
-        assert frontend.venues.shard_ids == ["shard-0", "shard-1", "shard-2"]
-        assert frontend.queue_depth == 7
-        assert frontend.admission == "reject"
-        assert not frontend.process_mode
 
     def test_process_mode_serves_and_merges_metrics(self):
         registry = MetricsRegistry()
@@ -812,12 +802,6 @@ class TestReplication:
                 replicated.register_venue(name, _Echo(name))
             )
         assert plain.placement() == replicated.placement()
-
-    def test_from_config_carries_replication_factor(self):
-        config = ServerConfig(num_shards=4, replication_factor=3)
-        frontend = ServingFrontend.from_config(config, registry=MetricsRegistry())
-        assert frontend.venues.replication_factor == 3
-        assert len(frontend.venues.shards_for("anything")) == 3
 
     def test_add_shard_rebalances_replica_sets_and_keeps_serving(self):
         frontend = ServingFrontend(
