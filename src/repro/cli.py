@@ -850,15 +850,15 @@ def _run_loadtest(argv: list[str]) -> int:
         replication_factor=args.replication_factor,
         seed=args.seed,
     )
-    channel = None
+    channel = adaptive = None
     if args.channel is not None:
-        from repro.network import resolve_channel
-        from repro.network.faults import FaultyChannel
+        from repro.network import AdaptiveConfig, FaultyChannel, resolve_channel
 
         channel = FaultyChannel(
             resolve_channel(args.channel), loss=args.loss, seed=args.seed
         )
-    if args.adaptive and channel is None:
+        adaptive = AdaptiveConfig() if args.adaptive else None
+    elif args.adaptive:
         print("--adaptive needs --channel")
         return 2
     if args.calibrate:
@@ -876,7 +876,7 @@ def _run_loadtest(argv: list[str]) -> int:
             workers=args.workers,
             service_samples=service_samples,
             channel=channel,
-            adaptive=args.adaptive,
+            adaptive=adaptive,
             registry=registry,
         )
         latency = report["latency_seconds"]

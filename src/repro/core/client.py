@@ -25,13 +25,22 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.config import VisualPrintConfig
-from repro.core.fingerprint import Fingerprint, degradation_keep_counts
+from repro.core.fingerprint import Fingerprint, degradation_ladder
 from repro.core.oracle import UniquenessOracle
 from repro.features.keypoint import DESCRIPTOR_DIM, KeypointSet
-from repro.features.serialize import serialize_keypoints_into, serialized_size
+from repro.features.serialize import serialize_keypoints_into
 from repro.features.sift import SiftExtractor, SiftParams
-from repro.network.faults import RetryPolicy, TransferOutcome, submit_payload
-from repro.network.linkstate import AdaptiveConfig, AdaptiveOffloadPolicy
+from repro.network.faults import (
+    RetryPolicy,
+    TransferOutcome,
+    next_backpressure_level,
+    submit_payload,
+)
+from repro.network.linkstate import (
+    AdaptiveConfig,
+    AdaptiveOffloadPolicy,
+    adaptive_policy,
+)
 from repro.obs import (
     MetricsRegistry,
     Span,
@@ -106,9 +115,7 @@ class VisualPrintClient:
         # Optional predictive layer: consulted ahead of every
         # submission to shape entry rung / retry budget / path before
         # the first byte goes out (see DESIGN.md §15).
-        if adaptive is not None and not isinstance(adaptive, AdaptiveOffloadPolicy):
-            adaptive = AdaptiveOffloadPolicy(adaptive)
-        self.adaptive = adaptive
+        self.adaptive = adaptive_policy(adaptive)
         self._m_frames = self._registry.counter(
             "client_frames_total", help="frames fully processed"
         )
@@ -224,23 +231,6 @@ class VisualPrintClient:
         """Current degradation-ladder starting rung (0 = full quality)."""
         return self._backpressure_level
 
-    def degradation_ladder(self, fingerprint: Fingerprint) -> list[int]:
-        """Payload sizes from full quality downward for one fingerprint.
-
-        Rung 0 is the fingerprint as-is; each further rung halves the
-        keypoint budget (keeping the most-unique prefix) down to
-        ``degrade_floor``.  Sizes follow the fixed-width wire format, so
-        no serialization happens here.
-        """
-        return [
-            serialized_size(count)
-            for count in degradation_keep_counts(
-                len(fingerprint),
-                floor=self.degrade_floor,
-                max_steps=self.degrade_steps,
-            )
-        ]
-
     def submit_fingerprint(
         self,
         fingerprint: Fingerprint,
@@ -257,34 +247,26 @@ class VisualPrintClient:
         fault-free channel this is exactly one ``transfer_seconds``
         call — zero-fault parity with driving the channel directly.
 
-        With :attr:`adaptive` set, the policy is consulted *before* the
-        first byte goes out: it may pre-degrade the entry rung, widen
-        the retry budget, scale backoff, and (in multi-path mode) pick
-        the uplink channel — the reactive backpressure level still
-        applies, as a lower bound on the entry rung.
+        With :attr:`adaptive` set, :func:`submit_payload` consults the
+        policy *before* the first byte goes out (entry rung, retry
+        budget, backoff, path); the backpressure level stays a lower
+        bound on the entry rung.
         """
-        policy = retry_policy or self.retry_policy or RetryPolicy()
-        ladder = self.degradation_ladder(fingerprint)
-        start = min(self._backpressure_level, len(ladder) - 1)
-        if self.adaptive is not None:
-            decision = self.adaptive.decide(channel, ladder_rungs=len(ladder))
-            channel = decision.channel
-            start = min(max(start, decision.entry_rung), len(ladder) - 1)
-            policy = decision.adapt_retry_policy(policy)
+        ladder = degradation_ladder(
+            len(fingerprint), floor=self.degrade_floor, max_steps=self.degrade_steps
+        )
         outcome = submit_payload(
             channel,
             ladder,
-            policy,
+            retry_policy or self.retry_policy,
             rng,
             registry=self._registry,
-            start_step=start,
+            start_step=self._backpressure_level,
+            adaptive=self.adaptive,
         )
-        if outcome.delivered:
-            self._backpressure_level = max(0, outcome.ladder_step - 1)
-        else:
-            self._backpressure_level = min(
-                self._backpressure_level + 1, len(ladder) - 1
-            )
+        self._backpressure_level = next_backpressure_level(
+            self._backpressure_level, outcome, len(ladder)
+        )
         return outcome
 
     def offload_frame(

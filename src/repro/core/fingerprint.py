@@ -19,7 +19,7 @@ from repro.features.serialize import (
     serialized_size,
 )
 
-__all__ = ["Fingerprint", "degradation_keep_counts"]
+__all__ = ["Fingerprint", "degradation_keep_counts", "degradation_ladder"]
 
 
 def degradation_keep_counts(
@@ -37,6 +37,20 @@ def degradation_keep_counts(
     while counts[-1] // 2 >= floor and len(counts) <= max_steps:
         counts.append(counts[-1] // 2)
     return counts
+
+
+def degradation_ladder(
+    count: int, floor: int = 16, max_steps: int = 2
+) -> list[int]:
+    """Wire sizes (bytes) of the :func:`degradation_keep_counts` rungs.
+
+    The ladder a payload walks in :func:`repro.network.submit_payload`:
+    the fixed-width wire format prices each rung without serializing it.
+    """
+    return [
+        serialized_size(keep)
+        for keep in degradation_keep_counts(count, floor=floor, max_steps=max_steps)
+    ]
 
 
 @dataclass(frozen=True)

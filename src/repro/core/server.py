@@ -126,11 +126,11 @@ class VisualPrintServer:
         # The table, the oracle and the index take the batch together or
         # not at all: every row must quantize under both projections
         # before any of them changes (``oracle.insert`` checks its own
-        # range before it counts a row).
-        self.lookup.projections.check_range(descriptors)
+        # range before it counts a row).  The index reuses this check.
+        norms = self.lookup.projections.check_range(descriptors)
         start = time.perf_counter()
         self.oracle.insert(descriptors)
-        self.lookup.insert(descriptors)
+        self.lookup._append(descriptors, norms)
         self._positions = np.concatenate([self._positions, positions_3d])
         self._m_ingest_seconds.observe(time.perf_counter() - start)
         self._m_ingest_bytes.observe(descriptors.nbytes)

@@ -31,10 +31,9 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.core.fingerprint import degradation_keep_counts
-from repro.features.serialize import serialized_size
+from repro.core.fingerprint import degradation_keep_counts, degradation_ladder
 from repro.network import CHANNEL_PRESETS, FaultSpec, FaultyChannel, RetryPolicy
-from repro.network.faults import submit_payload
+from repro.network.faults import next_backpressure_level, submit_payload
 from repro.network.linkstate import AdaptiveConfig, AdaptiveOffloadPolicy
 from repro.util.rng import derive_seed, rng_for
 
@@ -64,7 +63,7 @@ def _run_arm(
     queries: int,
     seed: int,
     keep_counts: Sequence[int],
-    ladder: Sequence[int],
+    ladder: list[int],
     retry: RetryPolicy,
     inter_query_seconds: float,
     adaptive_config: AdaptiveConfig | None,
@@ -105,31 +104,27 @@ def _run_arm(
         for _ in range(per_segment):
             if policy is not None:
                 policy.advance(inter_query_seconds)
-                decision = policy.decide(ladder_rungs=len(ladder))
-                start = max(backpressure, decision.entry_rung)
-                attempt_policy = decision.adapt_retry_policy(retry)
-            else:
-                start = backpressure
-                attempt_policy = retry
             outcome = submit_payload(
                 channel,
-                list(ladder),
-                attempt_policy,
+                ladder,
+                retry,
                 rng,
-                start_step=min(start, len(ladder) - 1),
+                start_step=backpressure,
+                adaptive=policy,
+            )
+            backpressure = next_backpressure_level(
+                backpressure, outcome, len(ladder)
             )
             latencies.append(outcome.latency_seconds)
             attempts += outcome.attempts
             wasted_bytes += outcome.wasted_bytes
             wasted_seconds += outcome.wasted_seconds
             if outcome.delivered:
-                backpressure = max(0, outcome.ladder_step - 1)
                 delivered += 1
                 degraded += outcome.status == "degraded"
                 delivered_keypoints += keep_counts[outcome.ladder_step]
                 delivered_bytes += outcome.payload_bytes
             else:
-                backpressure = min(backpressure + 1, len(ladder) - 1)
                 abandoned += 1
     total = len(latencies)
     series = np.asarray(latencies)
@@ -178,7 +173,7 @@ def run(
     """
     retry = retry or RetryPolicy()
     keep_counts = degradation_keep_counts(fingerprint_size)
-    ladder = [serialized_size(count) for count in keep_counts]
+    ladder = degradation_ladder(fingerprint_size)
     names = list(regimes) if regimes is not None else list(REGIMES)
     out_regimes: dict[str, Any] = {}
     improved = 0

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.fingerprint import degradation_keep_counts
+from repro.core.fingerprint import degradation_ladder
 from repro.evaluation.datasets import build_workload
 from repro.evaluation.retrieval import (
     build_oracle,
@@ -45,25 +45,19 @@ def _replay_uploads(
     VisualPrint schemes degrade down their fingerprint ladder; the
     fixed-budget baselines retry the full payload.
     """
-    uplink = CHANNEL_PRESETS[channel]
-    channel_model = FaultyChannel(uplink, faults) if faults is not None else uplink
+    channel_model = FaultyChannel(CHANNEL_PRESETS[channel], faults)
     rng = rng_for(seed, "fig13/uplink")
     replay: dict[str, dict[str, int]] = {}
     for result in results:
         degradable = "visualprint" in result.scheme.lower()
         counts = {"delivered": 0, "degraded": 0, "abandoned": 0, "retries": 0}
         for keypoints in result.uploaded_keypoints:
-            ladder_counts = (
-                degradation_keep_counts(int(keypoints))
+            ladder = (
+                degradation_ladder(int(keypoints))
                 if degradable
-                else [int(keypoints)]
+                else [serialized_size(int(keypoints))]
             )
-            outcome = submit_payload(
-                channel_model,
-                [serialized_size(count) for count in ladder_counts],
-                retry,
-                rng,
-            )
+            outcome = submit_payload(channel_model, ladder, retry, rng)
             counts["retries"] += outcome.retries
             if outcome.delivered:
                 counts["delivered"] += 1

@@ -116,12 +116,11 @@ def run(
         fingerprint_payloads[i % len(fingerprint_payloads)]
         for i in range(total_frames)
     ]
-    uplink = CHANNEL_PRESETS[channel]
 
     def _stream_channel():
         # A fresh wrapper per stream: both schemes replay the same
         # seeded fault sequence from the same initial link state.
-        return FaultyChannel(uplink, faults) if faults is not None else uplink
+        return FaultyChannel(CHANNEL_PRESETS[channel], faults)
 
     frame_trace = simulate_stream(
         "frame-upload", frame_cycle, _stream_channel(), capture_fps, retry=retry

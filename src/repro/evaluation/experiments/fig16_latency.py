@@ -17,12 +17,13 @@ frame: the "frame" span tree produced in a pool worker plus the
 parent-side ``network.transfer`` span, linked by the frame's trace
 context (returned alongside each payload size).
 
-With ``faults``/``retry`` set (the ``--channel-loss`` / ``--retry-*``
-CLI flags), transfers run through a seeded :class:`FaultyChannel` under
-the retry policy: failed attempts back off and step down the
-fingerprint degradation ladder, and the result gains a ``faults``
-section accounting for every query (delivered + abandoned = frames; no
-silent drops).  A null fault spec is bit-identical to the bare channel.
+Transfers run through a seeded :class:`FaultyChannel` under the retry
+policy (``faults``/``retry``, the ``--channel-loss`` / ``--retry-*``
+CLI flags; a null spec and the default policy without them): failed
+attempts back off and step down the fingerprint degradation ladder, and
+the ``faults`` section accounts for every query (delivered + abandoned
+= frames; no silent drops).  A null fault spec is bit-identical to the
+bare channel.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import UniquenessOracle, VisualPrintClient, VisualPrintConfig
-from repro.core.fingerprint import degradation_keep_counts
+from repro.core.fingerprint import degradation_ladder
 from repro.features import SiftExtractor, SiftParams
-from repro.features.serialize import serialized_size
 from repro.imaging.synth import SceneLibrary
 from repro.network import CHANNEL_PRESETS, FaultSpec, FaultyChannel, RetryPolicy
 from repro.network.faults import submit_payload
@@ -79,31 +79,27 @@ def _process_frame(frame: int, context: tuple) -> tuple:
 class _UplinkEngine:
     """The uplink transfer leg as a serving-layer venue engine.
 
-    One payload is a ``_process_frame`` outcome; serving it prices the
-    fingerprint on the channel (or pushes it down the retry/degradation
-    path) inside the frame's trace context.  The engine consumes the
-    shared jitter rng sequentially, so results are identical whether
-    the legs run in a plain loop or in admission order through an
-    inline :class:`repro.serving.ServingFrontend`.
+    One payload is a ``_process_frame`` outcome; serving it pushes the
+    fingerprint down the retry/degradation path inside the frame's trace
+    context.  The engine consumes the shared jitter rng sequentially, so
+    results are identical whether the legs run in a plain loop or in
+    admission order through an inline :class:`repro.serving.ServingFrontend`.
     """
 
-    def __init__(self, channel_model, rng, retry=None, registry=None) -> None:
+    def __init__(self, channel_model, rng, retry, registry) -> None:
         self.channel_model = channel_model
         self.rng = rng
         self.retry = retry
         self.registry = registry
 
     def serve(self, payload):
-        size, num_keypoints, trace_context, *_ = payload
+        _, num_keypoints, trace_context, *_ = payload
         with use_trace_context(trace_context):
-            if self.retry is None:
-                return self.channel_model.transfer_seconds(size, self.rng)
-            ladder = [
-                serialized_size(count)
-                for count in degradation_keep_counts(num_keypoints)
-            ]
             return submit_payload(
-                self.channel_model, ladder, self.retry, self.rng,
+                self.channel_model,
+                degradation_ladder(num_keypoints),
+                self.retry,
+                self.rng,
                 registry=self.registry,
             )
 
@@ -164,12 +160,11 @@ def run(
     )
     upload_bytes = [size for size, *_ in outcomes]
 
-    uplink = CHANNEL_PRESETS[channel]
-    channel_model = (
-        FaultyChannel(uplink, faults) if faults is not None else uplink
-    )
+    channel_model = FaultyChannel(CHANNEL_PRESETS[channel], faults)
     rng = rng_for(seed, "fig16/jitter")
-    uplink_engine = _UplinkEngine(channel_model, rng, retry=retry, registry=registry)
+    uplink_engine = _UplinkEngine(
+        channel_model, rng, retry or RetryPolicy(), registry
+    )
     if serving is not None:
         from repro.serving import ServingFrontend
 
@@ -182,25 +177,15 @@ def run(
         legs = [uplink_engine.serve(outcome) for outcome in outcomes]
 
     transfer = []
-    result_extra: dict = {}
-    if retry is None:
-        transfer = [float(leg) for leg in legs]
-    else:
-        delivered = degraded = abandoned = retries = 0
-        for outcome in legs:
-            retries += outcome.retries
-            if outcome.delivered:
-                delivered += 1
-                degraded += outcome.status == "degraded"
-                transfer.append(outcome.latency_seconds)
-            else:
-                abandoned += 1
-        result_extra["faults"] = {
-            "delivered": delivered,
-            "degraded": degraded,
-            "abandoned": abandoned,
-            "retries": retries,
-        }
+    delivered = degraded = abandoned = retries = 0
+    for outcome in legs:
+        retries += outcome.retries
+        if outcome.delivered:
+            delivered += 1
+            degraded += outcome.status == "degraded"
+            transfer.append(outcome.latency_seconds)
+        else:
+            abandoned += 1
 
     sift = np.array([sift_s for *_, sift_s, _ in outcomes])
     oracle_t = np.array([oracle_s for *_, oracle_s in outcomes if oracle_s is not None])
@@ -214,7 +199,12 @@ def run(
         "median_oracle": float(np.median(oracle_t)),
         "median_transfer": float(np.median(transfer_arr)) if transfer else 0.0,
         "ratio": float(np.median(sift) / max(np.median(oracle_t), 1e-9)),
-        **result_extra,
+        "faults": {
+            "delivered": delivered,
+            "degraded": degraded,
+            "abandoned": abandoned,
+            "retries": retries,
+        },
     }
 
 
@@ -231,12 +221,11 @@ def main(workers: int = 1, **overrides) -> None:
         f"median ratio SIFT/oracle: {result['ratio']:.1f}x "
         "(paper: 3300 ms / 217 ms ~ 15x)"
     )
-    if "faults" in result:
-        f = result["faults"]
-        print(
-            f"faults: delivered {f['delivered']} (degraded {f['degraded']}), "
-            f"abandoned {f['abandoned']}, retries {f['retries']}"
-        )
+    f = result["faults"]
+    print(
+        f"faults: delivered {f['delivered']} (degraded {f['degraded']}), "
+        f"abandoned {f['abandoned']}, retries {f['retries']}"
+    )
 
 
 if __name__ == "__main__":

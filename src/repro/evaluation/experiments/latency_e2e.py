@@ -20,9 +20,8 @@ import numpy as np
 
 from repro.codecs import PngCodec
 from repro.core import UniquenessOracle, VisualPrintClient, VisualPrintConfig
-from repro.core.fingerprint import degradation_keep_counts
+from repro.core.fingerprint import degradation_ladder
 from repro.features import SiftExtractor, SiftParams
-from repro.features.serialize import serialized_size
 from repro.imaging import to_uint8
 from repro.imaging.synth import SceneLibrary
 from repro.network import CHANNEL_PRESETS, FaultSpec, FaultyChannel, RetryPolicy
@@ -82,13 +81,13 @@ def run(
     wall-clock and vary run to run either way).  Channel jitter is
     applied in the parent, consuming its rng stream sequentially.
 
-    With ``retry`` set, each uplink leg runs through ``faults`` (a
-    fresh seeded :class:`FaultyChannel` per preset) under the retry
-    policy — VisualPrint degrades its fingerprint on failures, whereas
-    whole-frame offload can only retry the full frame.  The tiny
+    Each uplink leg runs through ``faults`` (a fresh seeded
+    :class:`FaultyChannel` per preset; a null spec without it) under the
+    ``retry`` policy — VisualPrint degrades its fingerprint on failures,
+    whereas whole-frame offload can only retry the full frame.  The tiny
     response leg is modeled fault-free (an ack retransmits in
     negligible time); abandoned queries are excluded from the latency
-    arrays and counted per channel/scheme in the ``faults`` section.
+    arrays and counted per channel/scheme in the ``abandoned`` section.
     """
     library = SceneLibrary(
         seed=seed, num_scenes=4, num_distractors=4, size=(image_size, image_size)
@@ -119,58 +118,39 @@ def run(
     rng = rng_for(seed, "latency-e2e")
     latencies: dict[str, dict[str, np.ndarray]] = {}
     fault_counts: dict[str, dict[str, int]] = {}
+    retry = retry or RetryPolicy()
     for channel_name, channel in CHANNEL_PRESETS.items():
-        channel_model = (
-            FaultyChannel(channel, faults) if faults is not None else channel
-        )
+        channel_model = FaultyChannel(channel, faults)
         frame_lat = []
         vp_lat = []
         abandoned = {"frame_upload": 0, "visualprint": 0}
-        for compute, frame_size, fp_size, fp_count, trace_context in zip(
-            compute_seconds,
-            frame_bytes,
-            fingerprint_bytes,
-            fingerprint_counts,
-            trace_contexts,
+        for compute, frame_size, fp_count, trace_context in zip(
+            compute_seconds, frame_bytes, fingerprint_counts, trace_contexts
         ):
             # Both schemes' simulated transfers join the frame's trace,
             # so each query reads as one trace_id across every channel.
             with use_trace_context(trace_context):
-                if retry is None:
-                    # Whole-frame offload skips local feature compute.
-                    frame_lat.append(
-                        channel_model.round_trip_seconds(
-                            frame_size, server_seconds=server_seconds, rng=rng
-                        )
-                    )
-                    vp_lat.append(
-                        compute
-                        + channel_model.round_trip_seconds(
-                            fp_size, server_seconds=server_seconds, rng=rng
-                        )
-                    )
-                    continue
-                reliable = getattr(channel_model, "reliable", channel_model)
+                # Whole-frame offload skips local feature compute.
                 up = submit_payload(channel_model, [frame_size], retry, rng)
                 if up.delivered:
                     frame_lat.append(
                         up.latency_seconds
                         + server_seconds
-                        + reliable.response_seconds(256, rng)
+                        + channel.response_seconds(256, rng)
                     )
                 else:
                     abandoned["frame_upload"] += 1
-                ladder = [
-                    serialized_size(count)
-                    for count in degradation_keep_counts(fp_count)
-                ]
+                ladder = degradation_ladder(fp_count)
                 up = submit_payload(channel_model, ladder, retry, rng)
                 if up.delivered:
+                    # Client compute, then the whole round trip.
                     vp_lat.append(
                         compute
-                        + up.latency_seconds
-                        + server_seconds
-                        + reliable.response_seconds(256, rng)
+                        + (
+                            up.latency_seconds
+                            + server_seconds
+                            + channel.response_seconds(256, rng)
+                        )
                     )
                 else:
                     abandoned["visualprint"] += 1
@@ -179,15 +159,13 @@ def run(
             "visualprint": np.array(vp_lat),
         }
         fault_counts[channel_name] = abandoned
-    result = {
+    return {
         "latencies": latencies,
         "mean_frame_bytes": float(np.mean(frame_bytes)),
         "mean_fingerprint_bytes": float(np.mean(fingerprint_bytes)),
         "mean_compute_seconds": float(np.mean(compute_seconds)),
+        "abandoned": fault_counts,
     }
-    if retry is not None:
-        result["abandoned"] = fault_counts
-    return result
 
 
 def main(workers: int = 1, **overrides) -> None:

@@ -10,9 +10,8 @@ and edge rejection -> orientation assignment from gradient histograms ->
 clamped at 0.2, renormalized, and quantized to 0..255 integers exactly
 like the descriptors VisualPrint hashes and ships.
 
-:class:`HarrisDetector` provides a cheap corner detector used by tests
-and by the ablation comparing detector front-ends (the paper notes the
-pipeline is not SIFT-specific).
+:class:`HarrisDetector` provides a cheap corner detector (the paper
+notes the pipeline is not SIFT-specific); only tests use it.
 """
 
 from repro.features.binary import BriefDescriptor, HammingMatcher, hamming_distance

@@ -46,7 +46,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.core.config import ServerConfig
+from repro.core.config import ServerConfig, VisualPrintConfig
+from repro.core.fingerprint import degradation_ladder
 from repro.loadgen.arrivals import (
     _USER_BLOCK,
     ArrivalStream,
@@ -54,7 +55,11 @@ from repro.loadgen.arrivals import (
     generate_arrivals,
 )
 from repro.network.faults import RetryPolicy, submit_payload
-from repro.network.linkstate import AdaptiveConfig, AdaptiveOffloadPolicy
+from repro.network.linkstate import (
+    AdaptiveConfig,
+    AdaptiveOffloadPolicy,
+    adaptive_policy,
+)
 from repro.obs import (
     MetricsRegistry,
     TraceCollector,
@@ -71,12 +76,6 @@ __all__ = [
     "run_loadtest",
     "synthetic_service_seconds",
 ]
-
-#: Payload-size ladder (bytes) for the optional uplink leg: a full
-#: fingerprint down two degradation rungs, matching the client's
-#: degrade-under-retry behaviour at round sizes.
-DEFAULT_LADDER: tuple[int, ...] = (4096, 2048, 1024)
-
 
 def synthetic_service_seconds(
     count: int = 256,
@@ -158,26 +157,25 @@ def _channel_leg(
     count: int,
     channel,
     retry: RetryPolicy,
-    ladder: Sequence[int],
     seed: int,
     registry: MetricsRegistry,
-    adaptive: AdaptiveOffloadPolicy | None = None,
-    arrival_times: np.ndarray | None = None,
+    adaptive: AdaptiveOffloadPolicy | None,
+    arrival_times: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, dict[str, Any]]:
     """Price every query's uplink; returns (latency, abandoned, summary).
 
-    One :func:`repro.network.faults.submit_payload` per query — Python-
-    loop cost, so channel legs are for thousands-scale studies, not the
-    million-user fast path (which models the uplink as already priced
-    into the latency SLO threshold).
+    One :func:`repro.network.faults.submit_payload` per query, walking
+    the default fingerprint's degradation ladder — Python-loop cost, so
+    channel legs are for thousands-scale studies, not the million-user
+    fast path (which models the uplink as already priced into the
+    latency SLO threshold).
 
-    With ``adaptive`` set, the policy is consulted before every query
-    (entry rung, retry budget, backoff scaling) and its estimator is
-    advanced by the inter-arrival gaps so confidence decays over quiet
-    stretches of the arrival stream.
+    With ``adaptive`` set, ``submit_payload`` consults the policy before
+    every query, and its estimator is advanced by the inter-arrival gaps
+    so confidence decays over quiet stretches of the arrival stream.
     """
     rng = rng_for(seed, "loadgen/channel")
-    ladder = [int(size) for size in ladder]
+    ladder = degradation_ladder(VisualPrintConfig().fingerprint_size)
     latency = np.zeros(count)
     abandoned = np.zeros(count, dtype=bool)
     degraded = 0
@@ -185,21 +183,14 @@ def _channel_leg(
     wasted = 0.0
     wasted_bytes = 0
     retries = 0
-    last_time = float(arrival_times[0]) if arrival_times is not None else 0.0
+    last_time = float(arrival_times[0])
     for index in range(count):
-        policy = retry
-        start_step = 0
         if adaptive is not None:
-            if arrival_times is not None:
-                now = float(arrival_times[index])
-                adaptive.advance(max(0.0, now - last_time))
-                last_time = now
-            decision = adaptive.decide(channel, ladder_rungs=len(ladder))
-            policy = decision.adapt_retry_policy(retry)
-            start_step = decision.entry_rung
+            now = float(arrival_times[index])
+            adaptive.advance(max(0.0, now - last_time))
+            last_time = now
         outcome = submit_payload(
-            channel, ladder, policy, rng, registry=registry,
-            start_step=start_step,
+            channel, ladder, retry, rng, registry=registry, adaptive=adaptive
         )
         latency[index] = outcome.latency_seconds
         retries += outcome.retries
@@ -232,8 +223,7 @@ def run_loadtest(
     service_samples: Sequence[float] | np.ndarray | None = None,
     channel=None,
     retry: RetryPolicy | None = None,
-    adaptive: AdaptiveOffloadPolicy | AdaptiveConfig | bool | None = None,
-    payload_ladder: Sequence[int] = DEFAULT_LADDER,
+    adaptive: AdaptiveOffloadPolicy | AdaptiveConfig | None = None,
     registry: MetricsRegistry | None = None,
     slo_tracker=None,
     slo_events_cap: int = 2000,
@@ -245,8 +235,8 @@ def run_loadtest(
     :func:`calibrate_service_seconds` output for measured-cost realism.
     ``channel`` (any ``UplinkChannel``-shaped object, typically a
     :class:`repro.network.faults.FaultyChannel`) adds a per-query uplink
-    leg; ``adaptive`` (``True``, an
-    :class:`repro.network.linkstate.AdaptiveConfig`, or a prebuilt
+    leg; ``adaptive`` (an
+    :class:`repro.network.linkstate.AdaptiveConfig` or a prebuilt
     :class:`~repro.network.linkstate.AdaptiveOffloadPolicy`) shapes that
     leg predictively.  ``slo_tracker`` defaults to the contextual tracker; it
     receives at most ``slo_events_cap`` stride-sampled outcomes stamped
@@ -275,19 +265,14 @@ def run_loadtest(
 
     uplink_summary: dict[str, Any] | None = None
     if channel is not None and count:
-        retry = retry if retry is not None else RetryPolicy()
-        policy: AdaptiveOffloadPolicy | None
-        if adaptive is None or adaptive is False:
-            policy = None
-        elif isinstance(adaptive, AdaptiveOffloadPolicy):
-            policy = adaptive
-        elif adaptive is True:
-            policy = AdaptiveOffloadPolicy()
-        else:
-            policy = AdaptiveOffloadPolicy(adaptive)
         uplink, abandoned_mask, uplink_summary = _channel_leg(
-            count, channel, retry, payload_ladder, seed, registry,
-            adaptive=policy, arrival_times=stream.times,
+            count,
+            channel,
+            retry or RetryPolicy(),
+            seed,
+            registry,
+            adaptive_policy(adaptive),
+            stream.times,
         )
         shard_times = stream.times + uplink
         # The uplink delays reorder admissions; re-sort (stably, so the

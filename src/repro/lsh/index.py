@@ -279,10 +279,19 @@ class LshIndex:
         descriptors = np.asarray(descriptors, dtype=np.float32)
         if descriptors.ndim != 2:
             raise ValueError(f"descriptors must be 2-D, got {descriptors.shape}")
+        if descriptors.shape[0]:
+            self._append(descriptors, self.projections.check_range(descriptors))
+
+    def _append(self, descriptors: np.ndarray, norms: np.ndarray) -> None:
+        """Store a float32 batch that passed ``projections.check_range``.
+
+        ``norms`` is the check's return value.  Besides :meth:`insert`,
+        :meth:`repro.core.VisualPrintServer.ingest` calls this: it runs
+        the check itself before the oracle counts the batch.
+        """
         num_new = descriptors.shape[0]
         if num_new == 0:
             return
-        norms = self.projections.check_range(descriptors)
         dtype = np.float32
         if self._store is None or self._store.dtype == np.uint8:
             dtype = np.uint8 if _byte_valued(descriptors) else np.float32

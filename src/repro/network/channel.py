@@ -153,18 +153,6 @@ class UplinkChannel:
             self.response_serialization_seconds(num_bytes), num_bytes, rng, "down"
         )
 
-    def round_trip_seconds(
-        self,
-        upload_bytes: int,
-        response_bytes: int = 256,
-        server_seconds: float = 0.0,
-        rng: np.random.Generator | None = None,
-    ) -> float:
-        """Query latency: upload + server compute + (small) response."""
-        up = self.transfer_seconds(upload_bytes, rng)
-        down = self.response_seconds(response_bytes, rng)
-        return up + server_seconds + down
-
 
 CHANNEL_PRESETS: dict[str, UplinkChannel] = {
     # Typical sustained rates (not headline peaks); cellular links are

@@ -14,7 +14,10 @@ client-side recovery machinery:
 * :class:`RetryPolicy` / :func:`submit_payload` — deterministic
   exponential backoff with jitter under a per-query latency budget,
   stepping down a payload "degradation ladder" (smaller fingerprints)
-  on each failed attempt.
+  on each failed attempt.  ``submit_payload`` is the one way a payload
+  goes over the uplink: it also applies an adaptive policy's pre-send
+  decision, and :func:`next_backpressure_level` is the AIAD rule its
+  callers carry between submissions.
 
 Failed attempts surface as ``network.fault`` spans (joining the ambient
 query trace) and ``network_faults_injected_total`` counters; retries and
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -46,6 +50,9 @@ from repro.obs import current_registry, emit_event, record_span
 from repro.util.rng import rng_for
 from repro.util.validation import check_in_range, check_positive
 
+if TYPE_CHECKING:
+    from repro.network.linkstate import AdaptiveOffloadPolicy
+
 __all__ = [
     "AttemptRecord",
     "FaultSpec",
@@ -53,6 +60,7 @@ __all__ = [
     "RetryPolicy",
     "TransferError",
     "TransferOutcome",
+    "next_backpressure_level",
     "submit_payload",
 ]
 
@@ -175,11 +183,6 @@ class FaultyChannel:
     @property
     def bytes_per_second(self) -> float:
         return self.inner.bytes_per_second
-
-    @property
-    def reliable(self) -> UplinkChannel:
-        """The wrapped channel, for legs modeled fault-free (tiny acks)."""
-        return self.inner
 
     def serialization_seconds(self, num_bytes: int) -> float:
         return self.inner.serialization_seconds(num_bytes)
@@ -340,49 +343,29 @@ class FaultyChannel:
         self, num_bytes: int, rng: np.random.Generator | None = None
     ) -> float:
         """Uplink attempt; raises :class:`TransferError` on a fault."""
-        if self.spec.is_null and not self._observers:
-            return self.inner.transfer_seconds(num_bytes, rng)
-        kind = self._advance()
-        if kind in ("loss", "outage"):
-            self._raise_fault(
-                kind, num_bytes, "up", self._fault_elapsed(kind, num_bytes, "up")
-            )
-        effective = self._dipped() if kind == "dip" else self.inner
-        seconds = effective.transfer_seconds(num_bytes, rng)
-        self._notify(kind or "ok", num_bytes, seconds, "up")
-        return seconds
+        return self._attempt(num_bytes, rng, "up")
 
     def response_seconds(
         self, num_bytes: int, rng: np.random.Generator | None = None
     ) -> float:
         """Downlink attempt; raises :class:`TransferError` on a fault."""
+        return self._attempt(num_bytes, rng, "down")
+
+    def _attempt(
+        self, num_bytes: int, rng: np.random.Generator | None, direction: str
+    ) -> float:
+        """One faultable attempt in either direction (the legs share it)."""
+        leg = "response_seconds" if direction == "down" else "transfer_seconds"
         if self.spec.is_null and not self._observers:
-            return self.inner.response_seconds(num_bytes, rng)
+            return getattr(self.inner, leg)(num_bytes, rng)
         kind = self._advance()
         if kind in ("loss", "outage"):
-            self._raise_fault(
-                kind, num_bytes, "down", self._fault_elapsed(kind, num_bytes, "down")
-            )
+            elapsed = self._fault_elapsed(kind, num_bytes, direction)
+            self._raise_fault(kind, num_bytes, direction, elapsed)
         effective = self._dipped() if kind == "dip" else self.inner
-        seconds = effective.response_seconds(num_bytes, rng)
-        self._notify(kind or "ok", num_bytes, seconds, "down")
+        seconds = getattr(effective, leg)(num_bytes, rng)
+        self._notify(kind or "ok", num_bytes, seconds, direction)
         return seconds
-
-    def round_trip_seconds(
-        self,
-        upload_bytes: int,
-        response_bytes: int = 256,
-        server_seconds: float = 0.0,
-        rng: np.random.Generator | None = None,
-    ) -> float:
-        """Faultable round trip; either leg may raise :class:`TransferError`."""
-        if self.spec.is_null and not self._observers:
-            return self.inner.round_trip_seconds(
-                upload_bytes, response_bytes, server_seconds, rng
-            )
-        up = self.transfer_seconds(upload_bytes, rng)
-        down = self.response_seconds(response_bytes, rng)
-        return up + server_seconds + down
 
     def attempt_serialization_seconds(self, num_bytes: int) -> float:
         """Serialization-only attempt for capture-stream simulation.
@@ -531,6 +514,21 @@ class TransferOutcome:
         return self.attempt_records[-1].rung
 
 
+def next_backpressure_level(
+    level: int, outcome: TransferOutcome, rungs: int
+) -> int:
+    """The AIAD entry rung for the submission after ``outcome``.
+
+    A delivery at rung ``r`` probes one rung back up (``r - 1``); an
+    abandonment starts the next submission one rung further down, up to
+    the last of the ladder's ``rungs`` (additive increase / additive
+    decrease, see DESIGN.md §9).
+    """
+    if outcome.delivered:
+        return max(0, outcome.ladder_step - 1)
+    return min(level + 1, rungs - 1)
+
+
 def submit_payload(
     channel,
     ladder: list[int],
@@ -540,6 +538,7 @@ def submit_payload(
     registry=None,
     leg: str = "up",
     start_step: int = 0,
+    adaptive: "AdaptiveOffloadPolicy | None" = None,
 ) -> TransferOutcome:
     """Push a payload through ``channel`` with retries and degradation.
 
@@ -551,10 +550,20 @@ def submit_payload(
     parity.  Counters (``network_retries_total``,
     ``queries_degraded_total``, ``queries_abandoned_total``) are only
     created once they first increment.
+
+    With ``adaptive``, the policy shapes the submission before the first
+    byte goes out: its decision picks the channel (multi-path mode), the
+    entry rung is ``max(start_step, decision.entry_rung)``, and the
+    retry policy is ``decision.adapt_retry_policy(policy)``.
     """
     if not ladder:
         raise ValueError("ladder must contain at least one payload size")
     policy = policy or RetryPolicy()
+    if adaptive is not None:
+        decision = adaptive.decide(channel, ladder_rungs=len(ladder))
+        channel = decision.channel
+        start_step = max(start_step, decision.entry_rung)
+        policy = decision.adapt_retry_policy(policy)
     registry = registry if registry is not None else current_registry()
     channel_name = getattr(channel, "name", "channel")
     send = channel.response_seconds if leg == "down" else channel.transfer_seconds

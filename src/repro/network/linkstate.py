@@ -49,6 +49,7 @@ __all__ = [
     "AdaptiveOffloadPolicy",
     "LinkQualityEstimator",
     "OffloadDecision",
+    "adaptive_policy",
 ]
 
 #: Decision actions, from healthiest to most defensive.
@@ -608,3 +609,16 @@ class AdaptiveOffloadPolicy:
                     failure_probability=round(p_fail, 4),
                 )
             self._last_action = action
+
+
+def adaptive_policy(
+    adaptive: AdaptiveOffloadPolicy | AdaptiveConfig | None,
+) -> AdaptiveOffloadPolicy | None:
+    """The policy an ``adaptive=`` argument stands for.
+
+    ``None`` keeps the uplink reactive, a config builds a fresh policy,
+    and a policy (with its learned link state) is used as is.
+    """
+    if adaptive is None or isinstance(adaptive, AdaptiveOffloadPolicy):
+        return adaptive
+    return AdaptiveOffloadPolicy(adaptive)

@@ -25,7 +25,11 @@ from repro.core import (
     VisualPrintClient,
     VisualPrintConfig,
 )
-from repro.core.fingerprint import Fingerprint, degradation_keep_counts
+from repro.core.fingerprint import (
+    Fingerprint,
+    degradation_keep_counts,
+    degradation_ladder,
+)
 from repro.core.persistence import ServerStateStore
 from repro.core.server import VisualPrintServer
 from repro.core.updates import (
@@ -97,7 +101,6 @@ class TestFaultyChannel:
         for size in (100, 125_000):
             assert wrapped.transfer_seconds(size) == bare.transfer_seconds(size)
             assert wrapped.response_seconds(size) == bare.response_seconds(size)
-        assert wrapped.round_trip_seconds(10_000) == bare.round_trip_seconds(10_000)
 
     def test_null_spec_preserves_jitter_stream(self):
         # A null wrap must consume the caller's rng identically to the
@@ -115,10 +118,10 @@ class TestFaultyChannel:
         bare_registry, wrapped_registry = MetricsRegistry(), MetricsRegistry()
         bare = _channel()
         wrapped = FaultyChannel(_channel(), FaultSpec())
-        with use_registry(bare_registry):
-            bare.round_trip_seconds(10_000)
-        with use_registry(wrapped_registry):
-            wrapped.round_trip_seconds(10_000)
+        for channel, registry in ((bare, bare_registry), (wrapped, wrapped_registry)):
+            with use_registry(registry):
+                channel.transfer_seconds(10_000)
+                channel.response_seconds(256)
         assert wrapped_registry.samples() == bare_registry.samples()
 
     def test_loss_raises_with_full_attempt_cost(self):
@@ -235,7 +238,7 @@ class TestFaultyChannel:
         assert wrapped.bandwidth_mbps == bare.bandwidth_mbps
         assert wrapped.rtt_ms == bare.rtt_ms
         assert wrapped.bytes_per_second == bare.bytes_per_second
-        assert wrapped.reliable is bare
+        assert wrapped.inner is bare
         assert wrapped.serialization_seconds(1000) == bare.serialization_seconds(1000)
 
 
@@ -490,8 +493,14 @@ class TestClientRecovery:
 
     def test_degradation_ladder_sizes(self):
         client = self._client()
-        ladder = client.degradation_ladder(_synthetic_fingerprint(64))
+        ladder = degradation_ladder(
+            64, floor=client.degrade_floor, max_steps=client.degrade_steps
+        )
         assert ladder == [serialized_size(c) for c in (64, 32, 16)]
+        outcome = client.submit_fingerprint(
+            _synthetic_fingerprint(64), _outage_alternator()
+        )
+        assert [a.payload_bytes for a in outcome.attempt_records] == ladder[:2]
 
     def test_submission_degrades_and_recovers(self):
         client = self._client()

@@ -5,7 +5,8 @@ library modules never import the CLI, and nothing under ``src/`` imports
 the tests.  These checks read the source with :mod:`ast`, so they cover
 every module, including ones no test touches.  The public-surface checks
 import the modules that declare ``__all__``: every listed name resolves,
-and the deleted config-first construction path stays gone.
+and the deleted config-first construction path, dead modules and
+duplicate uplink policy stay gone.
 """
 
 from __future__ import annotations
@@ -135,8 +136,6 @@ def test_config_first_construction_is_gone():
     from repro.core import ServerConfig, VisualPrintClient, VisualPrintServer
     from repro.serving import ServingFrontend
 
-    with pytest.raises(ModuleNotFoundError):
-        importlib.import_module("repro.api")
     for module in (repro, repro.core, repro.core.config):
         assert not hasattr(module, "ClientConfig")
         assert "ClientConfig" not in module.__all__
@@ -150,3 +149,29 @@ def test_config_first_construction_is_gone():
         "seed",
     ]
     assert repro.ServerConfig is ServerConfig
+
+
+@pytest.mark.parametrize("name", ["repro.api", "repro.evaluation.plots"])
+def test_deleted_modules_stay_gone(name):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(name)
+
+
+def test_one_uplink_submission_path():
+    """Only ``submit_payload`` asks the adaptive policy for a decision.
+
+    No channel model keeps a second, round-trip send path either.
+    """
+    from repro.network import FaultyChannel, UplinkChannel
+
+    callers = {
+        _module_name(path)
+        for path in _MODULES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "decide"
+    }
+    assert callers == {"repro.network.faults"}
+    for channel in (UplinkChannel, FaultyChannel):
+        assert not hasattr(channel, "round_trip_seconds")

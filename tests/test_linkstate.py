@@ -624,7 +624,7 @@ class TestLoadgenAdaptive:
             self._model(),
             seed=3,
             channel=channel,
-            adaptive=True,
+            adaptive=AdaptiveConfig(),
             registry=MetricsRegistry(),
         )
         uplink = report["uplink"]
@@ -643,7 +643,7 @@ class TestLoadgenAdaptive:
                 self._model(),
                 seed=3,
                 channel=channel,
-                adaptive=adaptive,
+                adaptive=AdaptiveConfig() if adaptive else None,
                 registry=MetricsRegistry(),
             )
             return report["uplink"]["wasted_bytes"]

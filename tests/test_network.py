@@ -45,11 +45,6 @@ class TestChannel:
         samples = {channel.transfer_seconds(1000, rng) for _ in range(10)}
         assert len(samples) > 1
 
-    def test_round_trip_adds_terms(self):
-        channel = UplinkChannel("t", bandwidth_mbps=8.0, jitter_sigma=0.0)
-        total = channel.round_trip_seconds(10_000, server_seconds=0.5)
-        assert total > 0.5
-
     def test_presets_exist(self):
         assert {"3g", "lte", "wifi"} <= set(CHANNEL_PRESETS)
         assert CHANNEL_PRESETS["wifi"].bandwidth_mbps > CHANNEL_PRESETS["3g"].bandwidth_mbps
@@ -93,7 +88,8 @@ class TestChannelMetrics:
         registry = MetricsRegistry()
         channel = self._channel()
         with use_registry(registry):
-            channel.round_trip_seconds(10_000, response_bytes=256)
+            channel.transfer_seconds(10_000)
+            channel.response_seconds(256)
         up = registry.sketch(
             "network_transfer_seconds", channel="t", direction="up"
         )

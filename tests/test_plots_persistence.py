@@ -1,4 +1,4 @@
-"""Tests for ASCII plotting, server persistence, and the e2e latency driver."""
+"""Tests for server persistence and the end-to-end latency experiment."""
 
 from __future__ import annotations
 
@@ -8,52 +8,8 @@ import pytest
 from repro.core import Fingerprint, VisualPrintConfig, VisualPrintServer
 from repro.core.persistence import ServerStateStore
 from repro.evaluation.experiments import latency_e2e
-from repro.evaluation.plots import ascii_boxplot, ascii_cdf, ascii_series
 from repro.features.keypoint import KeypointSet
 from repro.wardrive.environment import random_sift_descriptor
-
-
-class TestAsciiPlots:
-    def test_cdf_contains_markers_and_legend(self, rng):
-        series = {"alpha": rng.normal(0, 1, 100), "beta": rng.normal(2, 1, 100)}
-        rendered = ascii_cdf(series, label="meters")
-        assert "a=alpha" in rendered and "b=beta" in rendered
-        assert "meters" in rendered
-        assert "a" in rendered.splitlines()[3]
-
-    def test_cdf_monotone_marker_columns(self, rng):
-        rendered = ascii_cdf({"x": rng.normal(0, 1, 200)}, width=40, height=8)
-        # each column's marker row index must not increase left-to-right
-        rows = [line.split("|", 1)[1] for line in rendered.splitlines()[:8]]
-        first_marker_row = []
-        for column in range(40):
-            for row_index, row in enumerate(rows):
-                if row[column] == "a":
-                    first_marker_row.append(row_index)
-                    break
-        assert all(a >= b for a, b in zip(first_marker_row, first_marker_row[1:]))
-
-    def test_boxplot_median_marker(self, rng):
-        rendered = ascii_boxplot({"s": rng.uniform(0, 10, 50)})
-        assert "#" in rendered
-        assert "med=" in rendered
-
-    def test_series_log_scale(self):
-        xs = np.array([1.0, 2.0, 4.0, 8.0])
-        rendered = ascii_series(
-            xs, {"fps": np.array([1.0, 10.0, 100.0, 1000.0])}, log_y=True
-        )
-        assert "log y" in rendered
-
-    def test_empty_series_rejected(self):
-        with pytest.raises(ValueError):
-            ascii_cdf({})
-        with pytest.raises(ValueError):
-            ascii_boxplot({})
-
-    def test_constant_series_handled(self):
-        rendered = ascii_cdf({"c": np.full(10, 3.0)})
-        assert "a=c" in rendered  # marker 'a' labels the series named 'c'
 
 
 def _roundtrip(server: VisualPrintServer, root) -> VisualPrintServer:
